@@ -74,7 +74,7 @@ func TestCLIPopservedEndToEnd(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/popserved").CombinedOutput(); err != nil {
 		t.Fatalf("build: %v\n%s", err, out)
 	}
-	base, cmd, stderr := launchPopserved(t, bin, "-workers", "2", "-linger", "500us")
+	base, cmd, stderr := launchPopserved(t, bin, "-workers", "2")
 
 	post := func(path, contentType, body string, out any) (int, string) {
 		t.Helper()

@@ -19,11 +19,11 @@
 // JSON array of records — instance size, workers, PRAM rounds/work, ns/op,
 // allocs/op — so successive PRs can diff the perf trajectory. -scenario
 // selects which: `pool` (default) measures the execution-context layer
-// (persistent Solver vs one-shot vs SolveBatch); `capacitated` measures the
-// CHA clone-reduction pipeline against its unit baseline; `ties` the §V
-// ties path against the strict kernel; `serve` the HTTP serving stack under
-// closed-loop load (throughput, p50/p99 latency, batching and cache
-// counters); `delta` the incremental re-match path (single-row edit + warm
+// (persistent Solver vs one-shot vs a SolveRequest loop); `capacitated`
+// measures the CHA clone-reduction pipeline against its unit baseline;
+// `ties` the §V ties path against the strict kernel; `serve` the HTTP
+// serving stack under closed-loop load (throughput, p50/p99 latency,
+// shared-solve and cache counters); `delta` the incremental re-match path (single-row edit + warm
 // solve vs full re-solve, with the bit-identical differential check);
 // `scaling` sweeps the -workers counts at fixed -n and reports speedup over
 // workers=1 plus the bit-identical-matching check; `ingest` prices every

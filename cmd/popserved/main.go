@@ -1,13 +1,13 @@
 // popserved serves popular-matching solves over HTTP: a daemon wrapping the
-// internal/serve request layer (instance registry, micro-batching dispatch
-// onto one shared solver pool, LRU result cache, admission control).
+// internal/serve request layer (instance registry, LRU result cache, one
+// shared solve per (instance, mode) on one solver pool, admission control).
 //
 // Usage:
 //
-//	popserved [-addr :8080] [-workers N] [-batch N] [-linger D] [-cache N]
-//	          [-max-instances N] [-max-sessions N] [-max-queue N]
-//	          [-inflight-batches N] [-solve-timeout D] [-store DIR]
-//	          [-debug-addr ADDR] [-log-level debug|info|warn|error]
+//	popserved [-addr :8080] [-workers N] [-cache N] [-max-instances N]
+//	          [-max-sessions N] [-max-queue N] [-solve-timeout D]
+//	          [-store DIR] [-debug-addr ADDR]
+//	          [-log-level debug|info|warn|error]
 //
 // -store persists the instance registry to DIR: uploads are written there
 // in the binary format (one <fingerprint>.pmb file each) and mmap'd back on
@@ -15,7 +15,7 @@
 // anything (the stats counter store_loaded reports how many).
 //
 // Observability: GET /metrics on the main listener exposes every server
-// metric in Prometheus text format (request/solve/batch-flush latency
+// metric in Prometheus text format (request/solve/flight latency
 // histograms, the counter block, per-mode solve counters). -debug-addr
 // starts a second listener serving /metrics plus the net/http/pprof
 // profiling surface under /debug/pprof/ — kept off the public address so
@@ -104,23 +104,20 @@ func main() {
 	log.SetPrefix("popserved: ")
 	addr := flag.String("addr", ":8080", "listen address (host:port; :0 = kernel-chosen port)")
 	workers := flag.Int("workers", 0, "solver pool size (0 = all CPUs)")
-	batch := flag.Int("batch", 16, "max solve requests per micro-batch")
-	linger := flag.Duration("linger", time.Millisecond, "how long an underfull batch waits for stragglers (0 = dispatch immediately)")
 	cache := flag.Int("cache", 1024, "result cache capacity in entries (0 disables)")
 	maxInstances := flag.Int("max-instances", 1024, "instance registry capacity (0 = unbounded)")
 	maxSessions := flag.Int("max-sessions", 256, "live delta-session capacity (0 = unbounded)")
-	maxQueue := flag.Int("max-queue", 1024, "request queue depth before admission control rejects")
-	inflight := flag.Int("inflight-batches", 2, "micro-batches executing concurrently")
+	maxQueue := flag.Int("max-queue", 1024, "solves that may wait for a solve slot before admission control rejects")
 	solveTimeout := flag.Duration("solve-timeout", 0, "server-side cap on a single solve (0 = request context only)")
 	storeDir := flag.String("store", "", "persist uploaded instances to this directory and re-serve them on restart")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics and /debug/pprof/ on this extra address (empty = off)")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 	flag.Parse()
-	if *batch < 1 || *maxQueue < 1 || *inflight < 1 {
-		log.Fatal("-batch, -max-queue and -inflight-batches must be >= 1")
+	if *maxQueue < 1 {
+		log.Fatal("-max-queue must be >= 1")
 	}
-	if *linger < 0 || *cache < 0 || *maxInstances < 0 || *maxSessions < 0 || *solveTimeout < 0 {
-		log.Fatal("-linger, -cache, -max-instances, -max-sessions and -solve-timeout must be >= 0")
+	if *cache < 0 || *maxInstances < 0 || *maxSessions < 0 || *solveTimeout < 0 {
+		log.Fatal("-cache, -max-instances, -max-sessions and -solve-timeout must be >= 0")
 	}
 	level, err := parseLogLevel(*logLevel)
 	if err != nil {
@@ -128,24 +125,18 @@ func main() {
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
-	// On the flag surface zero means "off" (no linger, no cache, no registry
-	// bound); serve.Config spells "off" with negative sentinels because its
-	// zero value means "use defaults".
+	// On the flag surface zero means "off" (no cache, no registry bound);
+	// serve.Config spells "off" with negative sentinels because its zero
+	// value means "use defaults".
 	cfg := serve.Config{
-		Workers:         *workers,
-		MaxBatch:        *batch,
-		Linger:          *linger,
-		CacheSize:       *cache,
-		MaxInstances:    *maxInstances,
-		MaxSessions:     *maxSessions,
-		MaxQueue:        *maxQueue,
-		InflightBatches: *inflight,
-		SolveTimeout:    *solveTimeout,
-		StoreDir:        *storeDir,
-		Logger:          logger,
-	}
-	if *linger == 0 {
-		cfg.Linger = -1
+		Workers:      *workers,
+		CacheSize:    *cache,
+		MaxInstances: *maxInstances,
+		MaxSessions:  *maxSessions,
+		MaxQueue:     *maxQueue,
+		SolveTimeout: *solveTimeout,
+		StoreDir:     *storeDir,
+		Logger:       logger,
 	}
 	if *cache == 0 {
 		cfg.CacheSize = -1
@@ -161,13 +152,10 @@ func main() {
 	logger.Info("popserved starting",
 		slog.String("addr", *addr),
 		slog.Int("workers", *workers),
-		slog.Int("batch", *batch),
-		slog.Duration("linger", *linger),
 		slog.Int("cache", *cache),
 		slog.Int("max_instances", *maxInstances),
 		slog.Int("max_sessions", *maxSessions),
 		slog.Int("max_queue", *maxQueue),
-		slog.Int("inflight_batches", *inflight),
 		slog.Duration("solve_timeout", *solveTimeout),
 		slog.String("store", *storeDir),
 		slog.String("debug_addr", *debugAddr),
@@ -221,8 +209,8 @@ func main() {
 	}
 
 	// Orderly shutdown: stop accepting, give in-flight requests a grace
-	// window, then release the serving layer (queue drains, solver pool
-	// stops at quiescence).
+	// window, then release the serving layer (waiting solves fail, running
+	// ones finish, the solver pool stops at quiescence).
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if debugServer != nil {

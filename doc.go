@@ -7,8 +7,8 @@
 //
 //	s := popmatch.NewSolver(popmatch.Options{})
 //	defer s.Close()
-//	res, err := s.Solve(ctx, ins)              // context-cancellable
-//	results, err := s.SolveBatch(ctx, instances)
+//	res, err := s.Solve(ctx, ins) // context-cancellable
+//	res, err = s.SolveRequest(ctx, ins, popmatch.Request{Mode: popmatch.ModeMaxCard})
 //
 // A Solver runs on a persistent execution context (internal/exec): worker
 // goroutines and scratch buffers survive across solves, and every parallel
@@ -41,14 +41,13 @@
 // On top of the Solver sits the serving layer (internal/serve, exposed by
 // the cmd/popserved HTTP daemon): an instance registry keyed by content
 // fingerprint (onesided.Instance.Fingerprint) holding immutable
-// solver-ready snapshots, a request queue that coalesces concurrent solve
-// requests into micro-batches dispatched onto one shared Solver (duplicate
-// requests share a single solve under an exec.JoinContext of their request
-// contexts), an LRU result cache keyed by (fingerprint, mode) that answers
-// repeat queries without invoking the kernel, and admission control that
-// fails fast when the queue is full. The closed-loop load baseline lives in
-// BENCH_serve.json (popbench -scenario serve). See the README's "Serving"
-// section for the curl walkthrough.
+// solver-ready snapshots, an LRU result cache keyed by (fingerprint, mode)
+// that answers repeat queries without invoking the kernel, one shared solve
+// per (fingerprint, mode) for concurrent cache misses (a flight on one of
+// GOMAXPROCS solve slots, kept running while any request still waits for
+// it), and admission control that fails fast when too many flights wait
+// for a slot. `bash benchmark/run.sh` measures it (see BENCHMARK.json).
+// See the README's "Serving" section for the curl walkthrough.
 //
 // The serving tier scales horizontally through the shard layer
 // (internal/shard, exposed by the cmd/poprouter daemon): a stateless
@@ -69,7 +68,7 @@
 // counters and gauges plus lock-free log2-bucketed latency histograms on a
 // named registry with Prometheus text exposition. The serving layer hangs
 // its counter block and three latency histograms (request duration by
-// route, kernel solve, batch flush) on it — GET /metrics scrapes it, and
+// route, kernel solve, solve flight) on it — GET /metrics scrapes it, and
 // popserved's -debug-addr adds a second listener carrying /metrics plus
 // net/http/pprof. Per-solve tracing rides the same machinery one level
 // down: popmatch.Request.Trace captures a SolveTrace — per-phase rounds,

@@ -3,7 +3,7 @@
 // A matching service handles heavy traffic of small instances, where
 // per-request setup (pool spawning, scratch allocation) would dominate the
 // actual solving. This example holds a single popmatch.Solver for the whole
-// run, solves a batch of 64 instances over its persistent pool, demonstrates
+// run, solves 64 instances in a loop over its persistent pool, demonstrates
 // deadline-based cancellation, and prints the throughput.
 //
 // Run: go run ./examples/batch
@@ -30,27 +30,27 @@ func main() {
 	s := popmatch.NewSolver(popmatch.Options{})
 	defer s.Close()
 
-	// The whole batch pipelines over one persistent pool; worker goroutines
-	// and scratch arenas are reused across all 64 solves.
+	// Worker goroutines and scratch arenas are reused across all 64 solves.
+	req := popmatch.Request{Mode: popmatch.ModePopular}
 	start := time.Now()
-	results, err := s.SolveBatch(context.Background(), instances)
-	if err != nil {
-		log.Fatal(err)
+	matched := 0
+	for _, ins := range instances {
+		res, err := s.SolveRequest(context.Background(), ins, req)
+		if err != nil {
+			log.Fatal(err)
+		}
+		matched += res.Size
 	}
 	elapsed := time.Since(start)
-	matched := 0
-	for _, r := range results {
-		matched += r.Size
-	}
 	fmt.Printf("solved %d instances in %v (%.0f solves/s), %d applicants matched\n",
-		len(results), elapsed.Round(time.Microsecond),
-		float64(len(results))/elapsed.Seconds(), matched)
+		len(instances), elapsed.Round(time.Microsecond),
+		float64(len(instances))/elapsed.Seconds(), matched)
 
 	// Every solve observes context deadlines at parallel round boundaries:
 	// an already-expired context aborts promptly instead of burning a solve.
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if _, err := s.SolveBatch(ctx, instances); errors.Is(err, context.DeadlineExceeded) {
+	if _, err := s.SolveRequest(ctx, instances[0], req); errors.Is(err, context.DeadlineExceeded) {
 		fmt.Println("expired deadline rejected, as expected:", err)
 	} else {
 		log.Fatalf("expected DeadlineExceeded, got %v", err)

@@ -62,7 +62,8 @@ func traceRequestCosts(ins *popmatch.Instance, workers int, req popmatch.Request
 
 // PoolBench measures the execution-context layer: repeated Solver.Solve on a
 // persistent pool (pool + arena reuse), the one-shot compatibility path, and
-// SolveBatch pipelining, across instance sizes and worker counts.
+// a loop of SolveRequest calls over a batch of instances, across instance
+// sizes and worker counts.
 func PoolBench(seed int64) []PoolRecord {
 	var out []PoolRecord
 	workersSet := []int{1, runtime.GOMAXPROCS(0)}
@@ -99,7 +100,7 @@ func PoolBench(seed int64) []PoolRecord {
 		}
 	}
 
-	// Batch pipelining over the shared pool.
+	// A batch of instances solved in a loop over the shared pool.
 	const batchLen = 16
 	rng := rand.New(rand.NewSource(seed + 1))
 	instances := make([]*popmatch.Instance, batchLen)
@@ -110,9 +111,12 @@ func PoolBench(seed int64) []PoolRecord {
 	batch := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		ctx := context.Background()
+		req := popmatch.Request{Mode: popmatch.ModePopular}
 		for i := 0; i < b.N; i++ {
-			if _, err := s.SolveBatch(ctx, instances); err != nil {
-				b.Fatal(err)
+			for _, ins := range instances {
+				if _, err := s.SolveRequest(ctx, ins, req); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	})

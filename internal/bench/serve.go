@@ -27,11 +27,11 @@ const DefaultServeN = 2000
 // stack (BENCH_serve.json). Latency percentiles are measured client-side
 // over real HTTP; the counter block is the server's own stats snapshot, so
 // a record shows both what the clients observed (throughput, p50/p99) and
-// what the serving layer did to absorb it (batching, coalescing, caching).
+// what the serving layer did to absorb it (shared solves, caching).
 type ServeRecord struct {
 	// Name identifies the workload: serve_batched (cache off — every
-	// request reaches the micro-batcher) or serve_cached (LRU on — repeats
-	// are answered without the kernel).
+	// request reaches a solve flight) or serve_cached (LRU on — repeats are
+	// answered without the kernel).
 	Name string `json:"name"`
 	// N is the per-instance applicant count, Instances the number of
 	// distinct registered instances, Clients the closed-loop client count
@@ -80,12 +80,7 @@ func serveWorkload(name string, seed int64, n, cacheSize int) (ServeRecord, erro
 		clients           = 16
 		requestsPerClient = 40
 	)
-	srv := serve.New(serve.Config{
-		CacheSize:       cacheSize,
-		MaxBatch:        32,
-		Linger:          time.Millisecond,
-		InflightBatches: 2,
-	})
+	srv := serve.New(serve.Config{CacheSize: cacheSize})
 	defer srv.Close()
 	ts := httptest.NewServer(serve.NewHandler(srv))
 	defer ts.Close()
@@ -202,8 +197,8 @@ func serveWorkload(name string, seed int64, n, cacheSize int) (ServeRecord, erro
 
 // ServeBench measures the serving subsystem end to end over real HTTP with
 // closed-loop clients: once with the result cache disabled (every request
-// funnels into the micro-batcher — the batching/coalescing numbers are the
-// point) and once with it enabled (repeat queries never reach the kernel —
+// reaches a solve flight — the shared-solve numbers are the point) and once
+// with it enabled (repeat queries never reach the kernel —
 // the throughput gap against the first record prices the cache). n <= 0
 // selects DefaultServeN.
 func ServeBench(seed int64, n int) ([]ServeRecord, error) {

@@ -76,11 +76,7 @@ func shardWorkload(seed int64, n, shards int) (ShardRecord, error) {
 	servers := make([]*serve.Server, shards)
 	urls := make([]string, shards)
 	for i := range servers {
-		servers[i] = serve.New(serve.Config{
-			MaxBatch:        32,
-			Linger:          time.Millisecond,
-			InflightBatches: 2,
-		})
+		servers[i] = serve.New(serve.Config{})
 		ts := httptest.NewServer(serve.NewHandler(servers[i]))
 		defer ts.Close()
 		defer servers[i].Close()

@@ -100,7 +100,7 @@ func engineFor(cx *exec.Ctx) *Engine {
 
 // SolveRequest solves one Request on the session engine of opt's execution
 // context. It is the single entry point behind every popmatch.Solver method,
-// the serve batcher and the CLIs.
+// the serving layer and the CLIs.
 func SolveRequest(ins *onesided.Instance, req Request, opt Options) (out Outcome, err error) {
 	defer exec.CatchCancel(&err)
 	cx := opt.exec()

@@ -22,7 +22,7 @@ type cacheKey struct {
 // returns the shared outcome; entries are never mutated after insertion, so
 // readers need no copy. max <= 0 disables the cache entirely (every Get
 // misses, Put is a no-op) — the configuration the load generator uses to
-// exercise the batching path.
+// exercise the flight path.
 type resultCache struct {
 	mu    sync.Mutex
 	max   int

@@ -35,8 +35,8 @@ import (
 // A solve request may set "trace": true to receive a per-phase cost
 // breakdown of its solve in the response's "trace" field (rounds, work and
 // wall time per algorithm phase, plus barrier-wait time). Traced requests
-// bypass the result cache and the micro-batcher — the trace always reflects
-// a dedicated kernel solve of exactly that request.
+// bypass the result cache and never share a solve — the trace always
+// reflects a dedicated kernel solve of exactly that request.
 //
 // Every response carries an X-Request-Id header (echoing the caller's, or a
 // freshly minted id) and error bodies repeat it as "request_id", so a failed
@@ -97,7 +97,8 @@ type solveRequest struct {
 	Instance string `json:"instance"`
 	Mode     string `json:"mode"`
 	// Trace requests a per-phase cost breakdown of the solve (see the
-	// package comment); traced requests bypass the cache and the batcher.
+	// package comment); traced requests bypass the cache and never share a
+	// solve.
 	Trace bool `json:"trace,omitempty"`
 }
 
@@ -550,9 +551,7 @@ func decodeJSON(r *http.Request, v any) error {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, r *http.Request, status int, err error) {

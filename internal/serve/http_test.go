@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/onesided"
 )
@@ -206,17 +205,18 @@ func TestHTTPErrorMapping(t *testing.T) {
 }
 
 // TestHTTPConcurrentLoadBatches drives the HTTP surface with concurrent
-// clients and checks the acceptance-criteria observables: batch size > 1 in
-// stats, and cached repeats without kernel invocations.
+// clients and checks that duplicate requests share solves (a flight serving
+// more than one request) without solve errors.
 func TestHTTPConcurrentLoadBatches(t *testing.T) {
-	s, h := newHTTPServer(t, Config{
-		Workers: 2, CacheSize: -1, MaxBatch: 32, Linger: 4 * time.Millisecond, InflightBatches: 1,
-	})
+	s, h := newHTTPServer(t, Config{Workers: 2, CacheSize: -1})
 	rng := rand.New(rand.NewSource(33))
 	ids := make([]string, 4)
 	for i := range ids {
 		ids[i] = h.upload(onesided.Solvable(rng, 80, 20, 4)).ID
 	}
+	// Hold the solve slots until every client's first request has met the
+	// others in a flight.
+	holdSlots(s)
 	const clients = 16
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
@@ -231,10 +231,12 @@ func TestHTTPConcurrentLoadBatches(t *testing.T) {
 			}
 		}(c)
 	}
+	waitFor(t, "every client to wait on a flight", func() bool { return s.stats.BatchedRequests.Load() == clients })
+	releaseSlots(s)
 	wg.Wait()
 	st := s.Stats()
 	if st["max_batch"] < 2 {
-		t.Fatalf("batched dispatch not observable over HTTP: %v", st)
+		t.Fatalf("shared solves not observable over HTTP: %v", st)
 	}
 	if st["solve_errors"] != 0 {
 		t.Fatalf("solve errors under load: %v", st)

@@ -12,7 +12,7 @@ import (
 
 // serverMetrics is the server's registered metric surface: the Stats counter
 // block re-registered under Prometheus names, latency histograms for the
-// request, kernel-dispatch and batch-flush paths, per-mode solve counters,
+// request, kernel-solve and flight paths, per-mode solve counters,
 // and callback gauges over the registry/session/cache tables. Everything is
 // backed by obs primitives — the hot paths do atomic adds on plain struct
 // fields; the registry only names them for /metrics exposition.
@@ -24,19 +24,18 @@ type serverMetrics struct {
 	// the bench harness compares against client-observed percentiles).
 	reqSolve   *obs.Histogram
 	reqSession *obs.Histogram
-	// solve times individual kernel dispatches (a batched SolveBatch call
-	// counts once); flush times whole micro-batch executions including the
-	// fan-out of results.
+	// solve times individual kernel solves; flush times flights from start
+	// to result (solve-slot wait plus solve).
 	solve *obs.Histogram
 	flush *obs.Histogram
 
-	// mode counts kernel dispatches by solve mode, one series per mode of
-	// the shared engine enum.
+	// mode counts kernel solves by solve mode, one series per mode of the
+	// shared engine enum.
 	mode map[Mode]*obs.Counter
 }
 
 // newServerMetrics builds and registers the metric surface of s. Called once
-// from New before the batcher starts; the gauges close over the server's
+// from New before any request; the gauges close over the server's
 // tables, so they report live values at exposition time.
 func newServerMetrics(s *Server) *serverMetrics {
 	m := &serverMetrics{mode: make(map[Mode]*obs.Counter, len(Modes))}
@@ -48,16 +47,16 @@ func newServerMetrics(s *Server) *serverMetrics {
 		c          *obs.Counter
 	}{
 		{"popserved_requests_total", "Solve requests naming a registered instance or live session, admission refusals included.", &st.Requests},
-		{"popserved_rejected_total", "Requests refused by admission control (queue full).", &st.Rejected},
+		{"popserved_rejected_total", "Requests refused by admission control (too many flights waiting for a solve slot).", &st.Rejected},
 		{"popserved_cache_hits_total", "Requests answered from the result cache.", &st.CacheHits},
 		{"popserved_cache_misses_total", "Requests the result cache could not answer.", &st.CacheMisses},
-		{"popserved_batches_total", "Micro-batches dispatched to the solver.", &st.Batches},
-		{"popserved_batched_requests_total", "Requests carried by dispatched micro-batches.", &st.BatchedRequests},
-		{"popserved_coalesced_total", "Requests that shared another request's solve.", &st.Coalesced},
-		{"popserved_solves_total", "Kernel dispatches (unique work items handed to the solver).", &st.Solves},
-		{"popserved_solve_errors_total", "Kernel dispatches that failed.", &st.SolveErrors},
-		{"popserved_abandoned_total", "Waiters whose context ended while their job was still queued or solving.", &st.Abandoned},
-		{"popserved_session_solves_total", "Kernel dispatches made on behalf of delta sessions.", &st.SessionSolves},
+		{"popserved_batches_total", "Solve flights started, one per cache-missing (instance, mode) not already being solved.", &st.Batches},
+		{"popserved_batched_requests_total", "Requests that started or joined a solve flight.", &st.BatchedRequests},
+		{"popserved_coalesced_total", "Requests that joined another request's solve flight.", &st.Coalesced},
+		{"popserved_solves_total", "Kernel solves run.", &st.Solves},
+		{"popserved_solve_errors_total", "Kernel solves that failed.", &st.SolveErrors},
+		{"popserved_abandoned_total", "Waiters whose context ended before their flight delivered.", &st.Abandoned},
+		{"popserved_session_solves_total", "Kernel solves run on behalf of delta sessions.", &st.SessionSolves},
 		{"popserved_session_warm_total", "Session solves answered by the incremental warm-start path.", &st.SessionWarm},
 		{`popserved_uploads_total{format="text"}`, "Successful instance uploads by wire format.", &st.UploadsText},
 		{`popserved_uploads_total{format="binary"}`, "Successful instance uploads by wire format.", &st.UploadsBinary},
@@ -71,16 +70,16 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.reqSession = r.Histogram(`popserved_request_duration_seconds{route="session_solve"}`,
 		"Server-side duration of solve requests, cache hits included.", 1e-9)
 	m.solve = r.Histogram("popserved_solve_duration_seconds",
-		"Duration of individual kernel dispatches (a batched solve counts once).", 1e-9)
+		"Duration of individual kernel solves.", 1e-9)
 	m.flush = r.Histogram("popserved_batch_flush_duration_seconds",
-		"Duration of whole micro-batch executions, result fan-out included.", 1e-9)
+		"Time from a solve flight's start to its result: solve-slot wait plus solve.", 1e-9)
 
 	for _, md := range Modes {
 		m.mode[md] = r.Counter(fmt.Sprintf("popserved_mode_solves_total{mode=%q}", md.String()),
-			"Kernel dispatches by solve mode.")
+			"Kernel solves by solve mode.")
 	}
 
-	r.Gauge("popserved_max_batch", "Largest micro-batch dispatched.", st.MaxBatch.Load)
+	r.Gauge("popserved_max_batch", "Most requests one solve flight served.", st.MaxBatch.Load)
 	r.Gauge("popserved_instances", "Registered instances.", func() int64 { return int64(s.registry.Len()) })
 	r.Gauge("popserved_sessions", "Live delta sessions.", func() int64 { return int64(s.sessions.len()) })
 	r.Gauge("popserved_cache_entries", "Result-cache entries.", func() int64 { return int64(s.cache.Len()) })
@@ -88,8 +87,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 	return m
 }
 
-// modeSolve counts n kernel dispatches against mode's series. Unknown modes
-// (rejected by the engine before dispatch anyway) count nowhere.
+// modeSolve counts n kernel solves against mode's series. Unknown modes
+// (rejected by the engine before solving anyway) count nowhere.
 func (m *serverMetrics) modeSolve(mode Mode, n int64) {
 	if c, ok := m.mode[mode]; ok {
 		c.Add(n)
@@ -97,7 +96,7 @@ func (m *serverMetrics) modeSolve(mode Mode, n int64) {
 }
 
 // WriteMetrics writes every server metric in Prometheus text exposition
-// format: the Stats counter block, the request/solve/batch-flush latency
+// format: the Stats counter block, the request/solve/flight latency
 // histograms, per-mode solve counters and the table gauges. The HTTP surface
 // serves this as GET /metrics.
 func (s *Server) WriteMetrics(w io.Writer) error {
@@ -112,12 +111,11 @@ func (s *Server) SolveLatency() obs.HistSnapshot {
 	return s.metrics.reqSolve.Snapshot()
 }
 
-// SolveTraced is Solve for diagnosis: it dispatches one dedicated kernel
-// solve of the registered instance and fills tr with the per-phase breakdown.
-// Traced requests bypass the result cache in both directions and skip the
-// micro-batcher — a cached, coalesced or batched answer has no solve of its
-// own to trace — so the reported trace always reflects a real solve of
-// exactly this request.
+// SolveTraced is Solve for diagnosis: it runs one dedicated kernel solve of
+// the registered instance and fills tr with the per-phase breakdown. Traced
+// requests bypass the result cache in both directions and never share a
+// flight — a cached or shared answer has no solve of its own to trace — so
+// the reported trace always reflects a real solve of exactly this request.
 func (s *Server) SolveTraced(ctx context.Context, id string, mode Mode, tr *popmatch.SolveTrace) (*Outcome, error) {
 	snap, ok := s.registry.Get(id)
 	if !ok {
@@ -134,14 +132,5 @@ func (s *Server) SolveTraced(ctx context.Context, id string, mode Mode, tr *popm
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.SolveTimeout)
 		defer cancel()
 	}
-	s.stats.Solves.Add(1)
-	s.metrics.modeSolve(mode, 1)
-	t0 := time.Now()
-	res, err := s.solver.SolveRequest(ctx, snap.Ins, popmatch.Request{Mode: mode, Trace: tr})
-	s.metrics.solve.Observe(time.Since(t0).Nanoseconds())
-	if err != nil {
-		s.stats.SolveErrors.Add(1)
-		return nil, err
-	}
-	return outcomeOf(snap.Posts, res), nil
+	return s.kernelSolve(ctx, snap, popmatch.Request{Mode: mode, Trace: tr})
 }

@@ -1,7 +1,7 @@
-// Package serve is the matching-as-a-service request layer: it turns
-// concurrent solve requests against registered instances into micro-batched
-// dispatches on one shared popmatch.Solver, with an LRU result cache in
-// front of the kernel and admission control in front of the queue.
+// Package serve is the matching-as-a-service request layer: it answers
+// concurrent solve requests against registered instances from an LRU
+// result cache, or with one shared solve per (instance, mode) on a shared
+// popmatch.Solver, under admission control.
 //
 // The pieces, front to back:
 //
@@ -10,17 +10,16 @@
 //     form.
 //   - resultCache: an LRU keyed by (instance fingerprint, mode). A repeat
 //     query is answered without touching the kernel at all.
-//   - batcher: a bounded request queue drained by a dispatcher that
-//     coalesces concurrent requests into micro-batches (up to MaxBatch,
-//     lingering up to Linger for stragglers). Duplicate (instance, mode)
-//     requests inside a batch share one solve under an exec.JoinContext of
-//     their request contexts; strict popular-mode groups ride one
-//     Solver.SolveBatch call, everything else dispatches concurrently onto
-//     the same solver pool.
-//   - admission control: a full queue rejects immediately (ErrOverloaded)
-//     instead of building unbounded backlog, and every request carries its
-//     caller's context — cancellation and deadlines propagate through
-//     exec.Ctx to the solver's round boundaries.
+//   - flights: a cache miss starts a flight, one goroutine that takes one of
+//     GOMAXPROCS solve slots and runs the kernel. Requests for the same
+//     (instance, mode) that arrive while it runs wait for the same result;
+//     the solve runs while any of them still waits, and the last one to
+//     leave cancels it.
+//   - admission control: a request that would leave more than MaxQueue
+//     flights waiting for a solve slot is refused (ErrOverloaded) instead
+//     of building unbounded backlog, and every request carries its caller's
+//     context — cancellation and deadlines propagate through exec.Ctx to
+//     the solver's round boundaries.
 //
 // The HTTP surface over this layer lives in http.go; cmd/popserved is the
 // daemon wrapping it.
@@ -79,14 +78,14 @@ func ParseMode(s string) (Mode, error) {
 }
 
 // ErrOverloaded is returned when admission control refuses a request
-// because the queue is full.
-var ErrOverloaded = errors.New("serve: server overloaded, request queue full")
+// because too many solves already wait for a slot.
+var ErrOverloaded = errors.New("serve: server overloaded, too many solves waiting")
 
 // ErrServerClosed is returned for requests submitted after Close.
 var ErrServerClosed = errors.New("serve: server is closed")
 
-// Outcome is an immutable solve result, shareable between coalesced
-// requests and cache hits. PostOf uses the instance's raw post ids: entries
+// Outcome is an immutable solve result, shareable between the requests of
+// one flight and cache hits. PostOf uses the instance's raw post ids: entries
 // >= Posts are virtual last resorts (id Posts+a), so outcomes round-trip
 // losslessly through the verify surface.
 type Outcome struct {
@@ -104,29 +103,19 @@ type Outcome struct {
 type Config struct {
 	// Workers sizes the shared solver pool (0 = the process-wide pool).
 	Workers int
-	// MaxBatch caps a micro-batch (default 16).
-	MaxBatch int
-	// Linger is how long the dispatcher holds an underfull batch open for
-	// stragglers (default 1ms; negative = dispatch immediately).
-	Linger time.Duration
 	// CacheSize is the result cache capacity in entries (default 1024;
 	// negative = disable caching).
 	CacheSize int
-	// MaxQueue bounds the request queue; a full queue rejects with
-	// ErrOverloaded (default 1024; negative = minimal queueing, capacity 1).
-	// The queue can never have zero capacity: an unbuffered handoff would
-	// reject any request that does not land exactly on the dispatcher's
-	// receive, i.e. an idle server would bounce traffic at random.
+	// MaxQueue bounds the flights waiting for a solve slot; a request that
+	// would start one more gets ErrOverloaded (default 1024; negative =
+	// minimal queueing, 1). It is never 0: with every slot busy, a bound of
+	// 0 would refuse each new solve, however briefly the slots stay busy.
 	MaxQueue int
 	// MaxInstances bounds the registry (default 1024; negative = unbounded).
 	MaxInstances int
 	// MaxSessions bounds concurrently live delta sessions (default 256;
 	// negative = unbounded).
 	MaxSessions int
-	// InflightBatches is how many micro-batches may execute concurrently
-	// (default 2) — backpressure that lets the next batch fill while the
-	// current one solves.
-	InflightBatches int
 	// SolveTimeout caps the server-side duration of any single solve
 	// (default 0 = bounded only by the request's own context).
 	SolveTimeout time.Duration
@@ -151,35 +140,17 @@ func (c Config) withDefaults() Config {
 			*v = 0
 		}
 	}
-	def(&c.MaxBatch, 16)
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 1
-	}
 	def(&c.CacheSize, 1024)
 	def(&c.MaxQueue, 1024)
 	if c.MaxQueue == 0 {
-		// Negative MaxQueue means "as little queueing as possible", which is
-		// capacity 1, not 0: a zero-capacity jobs channel only accepts a
-		// request while the dispatcher is parked on its receive, so requests
-		// arriving during gather or dispatch would be rejected as
-		// ErrOverloaded even with the server otherwise idle.
 		c.MaxQueue = 1
 	}
 	def(&c.MaxInstances, 1024)
 	def(&c.MaxSessions, 256)
-	def(&c.InflightBatches, 2)
-	if c.InflightBatches == 0 {
-		c.InflightBatches = 1
-	}
-	if c.Linger == 0 {
-		c.Linger = time.Millisecond
-	} else if c.Linger < 0 {
-		c.Linger = 0
-	}
 	return c
 }
 
-// Server is the serving facade: registry + cache + batcher over one shared
+// Server is the serving facade: registry + cache + flights over one shared
 // Solver. Construct with New, release with Close.
 type Server struct {
 	cfg      Config
@@ -188,7 +159,7 @@ type Server struct {
 	stats    Stats
 	metrics  *serverMetrics
 	solver   *popmatch.Solver
-	batch    *batcher
+	flights  flightTable
 	sessions sessionTable
 	store    *diskStore // nil unless Open was given a StoreDir
 	started  time.Time
@@ -202,11 +173,11 @@ func New(cfg Config) *Server {
 		registry: NewRegistry(cfg.MaxInstances),
 		cache:    newResultCache(cfg.CacheSize),
 		solver:   popmatch.NewSolver(popmatch.Options{Workers: cfg.Workers}),
+		flights:  newFlightTable(),
 		started:  time.Now(),
 	}
 	s.sessions.max = cfg.MaxSessions
 	s.metrics = newServerMetrics(s)
-	s.batch = newBatcher(cfg, s.solver, &s.stats, s.metrics)
 	return s
 }
 
@@ -241,12 +212,12 @@ func Open(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Close shuts the server down in order: the queue stops admitting, queued
-// requests fail with ErrServerClosed, in-flight solves run to completion,
+// Close shuts the server down in order: admission stops, flights still
+// waiting for a solve slot fail with ErrServerClosed, running solves finish,
 // the solver releases its pool, and only then does the store unmap its
 // pages (no solve can still be indexing a mapped instance). Idempotent.
 func (s *Server) Close() {
-	s.batch.close()
+	s.flights.close()
 	s.solver.Close()
 	if s.store != nil {
 		s.store.Close()
@@ -311,10 +282,11 @@ func (s *Server) uptimeSeconds() int64 {
 }
 
 // Solve answers a solve request for a registered instance: from the result
-// cache when possible, otherwise through the micro-batching queue onto the
-// shared solver. The returned bool reports a cache hit. ctx cancellation
-// and deadline propagate into the solve's round boundaries; cfg.SolveTimeout
-// additionally caps the solver time server-side.
+// cache when possible, otherwise from the flight solving (instance, mode),
+// started by this request if none is. The returned bool reports a cache
+// hit. A request whose context ends stops waiting; the shared solve stops
+// once no request waits for it. cfg.SolveTimeout additionally caps each
+// request's wait server-side.
 func (s *Server) Solve(ctx context.Context, id string, mode Mode) (*Outcome, bool, error) {
 	snap, ok := s.registry.Get(id)
 	if !ok {
@@ -334,20 +306,12 @@ func (s *Server) Solve(ctx context.Context, id string, mode Mode) (*Outcome, boo
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.SolveTimeout)
 		defer cancel()
 	}
-	out, err := s.batch.submit(ctx, snap, mode)
-	if err != nil {
+	// A request that has already given up must not start a solve.
+	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
-	s.cache.Put(key, out)
-	// A concurrent Evict may have purged the cache between our registry
-	// lookup and the Put above; Evict removes the registry entry before it
-	// touches the cache, so re-checking membership here (and undoing the
-	// Put) guarantees one of the two purges wins — a deleted instance never
-	// leaves a resurrected cache line behind.
-	if _, live := s.registry.Get(snap.ID); !live {
-		s.cache.EvictInstance(snap.ID)
-	}
-	return out, false, nil
+	out, err := s.solveShared(ctx, snap, mode)
+	return out, false, err
 }
 
 // Verify checks a caller-supplied assignment of a registered instance for

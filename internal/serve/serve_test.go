@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -208,13 +209,11 @@ func TestEvictInstanceDropsEveryKeyShape(t *testing.T) {
 	}
 }
 
+// TestMicroBatchingCoalescesConcurrentLoad checks that concurrent requests
+// for the same (instance, mode) share solves, and the flight accounting.
 func TestMicroBatchingCoalescesConcurrentLoad(t *testing.T) {
-	// Cache off so every request reaches the batcher; a solo inflight slot
-	// plus a generous linger window forces concurrent requests into shared
-	// batches.
-	s := newTestServer(t, Config{
-		Workers: 2, CacheSize: -1, MaxBatch: 16, Linger: 5 * time.Millisecond, InflightBatches: 1,
-	})
+	// Cache off so every request reaches a flight.
+	s := newTestServer(t, Config{Workers: 2, CacheSize: -1})
 	snaps := make([]*Snapshot, 4)
 	for i := range snaps {
 		snap, _, err := s.Upload(strictInstance(t, int64(100+i), 60))
@@ -223,6 +222,9 @@ func TestMicroBatchingCoalescesConcurrentLoad(t *testing.T) {
 		}
 		snaps[i] = snap
 	}
+	// Hold every solve slot until all clients have issued their first
+	// request, so the first round of requests provably meets in flights.
+	holdSlots(s)
 	const clients = 24
 	var wg sync.WaitGroup
 	for g := 0; g < clients; g++ {
@@ -237,13 +239,16 @@ func TestMicroBatchingCoalescesConcurrentLoad(t *testing.T) {
 			}
 		}(g)
 	}
+	waitFor(t, "every client to wait on a flight", func() bool { return s.stats.BatchedRequests.Load() == clients })
+	releaseSlots(s)
 	wg.Wait()
 	st := s.Stats()
-	if st["max_batch"] < 2 {
-		t.Fatalf("no micro-batching observed under concurrent load: stats %v", st)
-	}
-	if st["coalesced"] == 0 {
+	if st["coalesced"] == 0 || st["max_batch"] < 2 {
 		t.Fatalf("no request coalescing observed: stats %v", st)
+	}
+	if st["batches"]+st["coalesced"] != st["batched_requests"] {
+		t.Fatalf("accounting mismatch: batches %d + coalesced %d != batched %d",
+			st["batches"], st["coalesced"], st["batched_requests"])
 	}
 	if st["solves"]+st["coalesced"] != st["batched_requests"] {
 		t.Fatalf("accounting mismatch: solves %d + coalesced %d != batched %d",
@@ -251,69 +256,92 @@ func TestMicroBatchingCoalescesConcurrentLoad(t *testing.T) {
 	}
 }
 
-func TestAdmissionControlRejectsWhenFull(t *testing.T) {
-	s := newTestServer(t, Config{
-		Workers: 1, CacheSize: -1, MaxQueue: 2, MaxBatch: 1, Linger: -1, InflightBatches: 1,
-	})
-	snap, _, err := s.Upload(strictInstance(t, 11, 30000))
-	if err != nil {
-		t.Fatal(err)
+// holdSlots takes every solve slot of s, so each new flight waits for one.
+func holdSlots(s *Server) {
+	for range cap(s.flights.slots) {
+		s.flights.slots <- struct{}{}
 	}
-	// Fill every pipeline stage deterministically (racing a flock of
-	// submitters against the dispatcher flakes: the queue drains between
-	// their sends). Stage 1 — one solve executing, holding the single
-	// inflight slot.
-	execDone := make(chan error, 1)
-	go func() {
-		_, _, err := s.Solve(context.Background(), snap.ID, ModePopular)
-		execDone <- err
-	}()
+}
+
+// releaseSlots frees the slots holdSlots took.
+func releaseSlots(s *Server) {
+	for range cap(s.flights.slots) {
+		<-s.flights.slots
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.stats.Batches.Load() == 0 {
+	for !cond() {
 		if time.Now().After(deadline) {
-			t.Fatal("first solve never dispatched")
+			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	// Stages 2–4 — blocking sends of three more jobs. The dispatcher takes
-	// exactly one (its next gathered batch, parked on the inflight
-	// semaphore); the other two fill the MaxQueue=2 buffer. The third send
-	// can only return once that state is reached, so after it the pipeline
-	// is provably full.
-	filler := make([]*solveJob, 3)
-	for i := range filler {
-		filler[i] = &solveJob{snap: snap, mode: ModePopular, ctx: context.Background(), done: make(chan jobResult, 1)}
-		s.batch.jobs <- filler[i]
+}
+
+// waitingFlights reads how many flights wait for a solve slot.
+func waitingFlights(s *Server) int {
+	s.flights.mu.Lock()
+	defer s.flights.mu.Unlock()
+	return s.flights.waiting
+}
+
+// solveAsync runs s.Solve on its own goroutine and delivers its error.
+func solveAsync(ctx context.Context, s *Server, id string, mode Mode) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := s.Solve(ctx, id, mode)
+		done <- err
+	}()
+	return done
+}
+
+func TestAdmissionControlRejectsWhenFull(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, CacheSize: -1, MaxQueue: 2})
+	snap, _, err := s.Upload(strictInstance(t, 11, 300))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The next request must bounce.
-	if _, _, err := s.Solve(context.Background(), snap.ID, ModePopular); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("solve against a full pipeline: %v, want ErrOverloaded", err)
+	// With every slot held, two flights (two modes of one instance) fill
+	// the MaxQueue=2 wait bound.
+	holdSlots(s)
+	popular := solveAsync(context.Background(), s, snap.ID, ModePopular)
+	maxcard := solveAsync(context.Background(), s, snap.ID, ModeMaxCard)
+	waitFor(t, "two flights waiting for a slot", func() bool { return waitingFlights(s) == 2 })
+	// A third key would leave three flights waiting: refused.
+	if _, _, err := s.Solve(context.Background(), snap.ID, ModeTies); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("solve against a full wait bound: %v, want ErrOverloaded", err)
 	}
 	if got := s.Stats()["rejected"]; got != 1 {
 		t.Fatalf("rejected counter %d, want 1", got)
 	}
-	// Everything admitted completes once the executing solve releases the
-	// slot.
-	if err := <-execDone; err != nil {
-		t.Fatalf("executing solve: %v", err)
-	}
-	for i, job := range filler {
-		if res := <-job.done; res.err != nil {
-			t.Fatalf("queued job %d: %v", i, res.err)
+	// A request for a key already in flight joins it instead of queueing.
+	joined := solveAsync(context.Background(), s, snap.ID, ModePopular)
+	waitFor(t, "the join", func() bool { return s.stats.Coalesced.Load() == 1 })
+	// Everything admitted completes once the slots are free.
+	releaseSlots(s)
+	for name, done := range map[string]<-chan error{"popular": popular, "maxcard": maxcard, "joined": joined} {
+		if err := <-done; err != nil {
+			t.Fatalf("%s solve: %v", name, err)
 		}
+	}
+	if st := s.Stats(); st["solves"] != 2 || st["max_batch"] != 2 {
+		t.Fatalf("want 2 solves serving at most 2 requests each: stats %v", st)
 	}
 }
 
 // TestNegativeMaxQueueMeansMinimalQueue is the regression test for the
-// admission-control config bug: a negative MaxQueue used to clamp to 0, and
-// a zero-capacity jobs channel only admits a request while the dispatcher
-// happens to be parked on its receive — an otherwise idle server rejected
-// traffic at random. The defined semantics are "minimal queueing" =
-// capacity 1.
+// admission-control config bug: a negative MaxQueue used to clamp to 0,
+// which refuses a solve whenever the slots are busy — an otherwise idle
+// server rejected traffic at random. The defined semantics are "minimal
+// queueing" = one waiting flight.
 func TestNegativeMaxQueueMeansMinimalQueue(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, CacheSize: -1, MaxQueue: -1})
-	if got := cap(s.batch.jobs); got != 1 {
-		t.Fatalf("MaxQueue=-1 built a queue of capacity %d, want 1", got)
+	if got := s.cfg.MaxQueue; got != 1 {
+		t.Fatalf("MaxQueue=-1 resolved to %d, want 1", got)
 	}
 	snap, _, err := s.Upload(strictInstance(t, 23, 40))
 	if err != nil {
@@ -324,54 +352,103 @@ func TestNegativeMaxQueueMeansMinimalQueue(t *testing.T) {
 			t.Fatalf("solve %d with MaxQueue=-1: %v", i, err)
 		}
 	}
+	holdSlots(s)
+	waiting := solveAsync(context.Background(), s, snap.ID, ModePopular)
+	waitFor(t, "one flight waiting for a slot", func() bool { return waitingFlights(s) == 1 })
+	if _, _, err := s.Solve(context.Background(), snap.ID, ModeMaxCard); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("second waiting flight with MaxQueue=-1: %v, want ErrOverloaded", err)
+	}
+	releaseSlots(s)
+	if err := <-waiting; err != nil {
+		t.Fatalf("waiting flight: %v", err)
+	}
 }
 
-// TestAbandonedWaiterCountedAndHarmless pins the abandoned-waiter path of
-// batcher.submit: a caller whose context ends while its job is still in the
-// pipeline gets its context error immediately, is counted in stats, and the
-// job's eventual delivery into the buffered done channel neither blocks the
-// batch executor nor wedges shutdown.
+// TestAbandonedWaiterCountedAndHarmless pins the waiter count of a flight: a
+// caller whose context ends while it waits gets its context error at once
+// and is counted in stats, and the shared solve carries on for the waiter
+// that remains.
 func TestAbandonedWaiterCountedAndHarmless(t *testing.T) {
-	s := newTestServer(t, Config{
-		Workers: 1, CacheSize: -1, MaxBatch: 1, Linger: -1, InflightBatches: 1, MaxQueue: 4,
-	})
-	slow, _, err := s.Upload(strictInstance(t, 29, 30000))
+	s := newTestServer(t, Config{Workers: 1, CacheSize: -1})
+	snap, _, err := s.Upload(strictInstance(t, 29, 300))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Occupy the single solve slot so the abandoned job stays queued behind
-	// it for the whole test.
-	firstDone := make(chan error, 1)
-	go func() {
-		_, _, err := s.Solve(context.Background(), slow.ID, ModePopular)
-		firstDone <- err
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for s.stats.Batches.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("first solve never dispatched")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	// The abandoned waiter: its context is already dead, so submit enqueues
-	// the job and returns the context error without waiting for a result.
+	holdSlots(s)
 	ctx, cancel := context.WithCancel(context.Background())
+	abandoned := solveAsync(ctx, s, snap.ID, ModePopular)
+	waitFor(t, "the first flight", func() bool { return waitingFlights(s) == 1 })
+	patient := solveAsync(context.Background(), s, snap.ID, ModePopular)
+	waitFor(t, "the join", func() bool { return s.stats.Coalesced.Load() == 1 })
 	cancel()
-	if _, _, err := s.Solve(ctx, slow.ID, ModePopular); !errors.Is(err, context.Canceled) {
+	if err := <-abandoned; !errors.Is(err, context.Canceled) {
 		t.Fatalf("abandoned solve returned %v, want context.Canceled", err)
 	}
 	if got := s.stats.Abandoned.Load(); got != 1 {
 		t.Fatalf("abandoned counter %d, want 1", got)
 	}
-	if err := <-firstDone; err != nil {
-		t.Fatalf("first solve: %v", err)
+	releaseSlots(s)
+	if err := <-patient; err != nil {
+		t.Fatalf("remaining waiter: %v", err)
 	}
-	// The orphaned job's delivery must not wedge the pipeline: a fresh
-	// request still gets served afterwards.
-	if _, _, err := s.Solve(context.Background(), slow.ID, ModePopular); err != nil {
-		t.Fatalf("solve after abandoned waiter: %v", err)
+	if got := s.stats.Solves.Load(); got != 1 {
+		t.Fatalf("%d solves, want the one shared solve", got)
 	}
-	// t.Cleanup closes the server; a hang there would fail the test run.
+}
+
+// TestFlightLeftByEveryWaiterIsNotReused is the regression test for joining
+// a dead flight: once every waiter has left, the flight's solve is cancelled,
+// so the next request for its key must start a fresh solve rather than
+// inherit context.Canceled.
+func TestFlightLeftByEveryWaiterIsNotReused(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, CacheSize: -1})
+	snap, _, err := s.Upload(strictInstance(t, 31, 300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	holdSlots(s)
+	ctx, cancel := context.WithCancel(context.Background())
+	left := solveAsync(ctx, s, snap.ID, ModePopular)
+	waitFor(t, "the flight", func() bool { return waitingFlights(s) == 1 })
+	cancel()
+	if err := <-left; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled solve returned %v, want context.Canceled", err)
+	}
+	releaseSlots(s)
+	if _, _, err := s.Solve(context.Background(), snap.ID, ModePopular); err != nil {
+		t.Fatalf("solve after every waiter left: %v", err)
+	}
+	if st := s.Stats(); st["batches"] != 2 || st["coalesced"] != 0 {
+		t.Fatalf("want a second flight, not a join: stats %v", st)
+	}
+}
+
+// TestCloseFailsSlotWaiters checks Close against flights waiting for a solve
+// slot: their requests get ErrServerClosed, and every goroutine the server
+// started is gone afterwards.
+func TestCloseFailsSlotWaiters(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	s := New(Config{Workers: 1, CacheSize: -1})
+	snap, _, err := s.Upload(strictInstance(t, 37, 300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	holdSlots(s)
+	var waiters []<-chan error
+	for _, mode := range []Mode{ModePopular, ModePopular, ModeMaxCard} {
+		waiters = append(waiters, solveAsync(context.Background(), s, snap.ID, mode))
+	}
+	waitFor(t, "three waiting requests", func() bool { return s.stats.BatchedRequests.Load() == 3 })
+	s.Close()
+	for i, done := range waiters {
+		if err := <-done; !errors.Is(err, ErrServerClosed) {
+			t.Fatalf("waiter %d: %v, want ErrServerClosed", i, err)
+		}
+	}
+	if got := s.stats.Solves.Load(); got != 0 {
+		t.Fatalf("%d solves ran after Close", got)
+	}
+	waitFor(t, "the goroutine count to return to its baseline", func() bool { return runtime.NumGoroutine() <= baseline })
 }
 
 func TestPerRequestCancellation(t *testing.T) {
@@ -460,10 +537,10 @@ func TestVerifyRejectsBadAssignments(t *testing.T) {
 	}
 }
 
-// TestBatchedStrictPathMatchesDirectSolver cross-checks the SolveBatch fast
-// path against direct solver calls on the same snapshots.
+// TestBatchedStrictPathMatchesDirectSolver cross-checks served popular
+// solves against direct solver calls on the same snapshots.
 func TestBatchedStrictPathMatchesDirectSolver(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, CacheSize: -1, MaxBatch: 8, Linger: 2 * time.Millisecond})
+	s := newTestServer(t, Config{Workers: 1, CacheSize: -1})
 	direct := popmatch.NewSolver(popmatch.Options{Workers: 1})
 	defer direct.Close()
 	for i := 0; i < 4; i++ {

@@ -23,10 +23,10 @@ import (
 //
 // Concurrency: all session operations serialize on the session's own mutex
 // (a delta solve reads and writes the warm state, and the instance's cached
-// CSR is patched in place by mutations). Sessions therefore bypass the
-// micro-batcher — batching exists to coalesce identical read-only solves,
-// which mutable per-session instances can never share. Distinct sessions
-// solve concurrently on the shared solver pool.
+// CSR is patched in place by mutations). Sessions therefore never share a
+// flight — flights coalesce identical read-only solves, which mutable
+// per-session instances can never share. Distinct sessions solve
+// concurrently on the shared solver pool.
 type Session struct {
 	// ID names the session ("s-" + random hex); Source is the fingerprint of
 	// the registered snapshot it was forked from. Both immutable.

@@ -19,28 +19,27 @@ type Stats struct {
 	// counts as a miss.
 	CacheHits   obs.Counter
 	CacheMisses obs.Counter
-	// Batches counts micro-batches dispatched; BatchedRequests the requests
-	// they carried (so BatchedRequests/Batches is the mean batch size);
-	// MaxBatch the largest batch observed; Coalesced the requests that
-	// shared another request's solve (identical instance and mode in the
-	// same batch).
+	// Batches counts solve flights started; BatchedRequests the requests
+	// that started or joined one (so BatchedRequests/Batches is the mean
+	// number of requests a flight served); MaxBatch the most requests one
+	// flight served; Coalesced the requests that joined a flight another
+	// request started. Batches + Coalesced == BatchedRequests.
 	Batches         obs.Counter
 	BatchedRequests obs.Counter
 	MaxBatch        obs.Counter
 	Coalesced       obs.Counter
-	// Solves counts kernel dispatches (unique work items actually handed to
-	// the Solver); SolveErrors the ones that failed. A cache hit or a
-	// coalesced request does not move Solves — that gap is the measure of
-	// work the serving layer absorbed.
+	// Solves counts kernel solves actually run; SolveErrors the ones that
+	// failed. A cache hit or a coalesced request does not move Solves — that
+	// gap is the measure of work the serving layer absorbed.
 	Solves      obs.Counter
 	SolveErrors obs.Counter
-	// Abandoned counts waiters that gave up (context ended) while their job
-	// was still in the pipeline; the job's solve may still run for the sake
-	// of coalesced siblings, but its result goes undelivered to this caller.
+	// Abandoned counts waiters that gave up (context ended) before their
+	// flight delivered; the solve keeps running while another request still
+	// waits for it.
 	Abandoned obs.Counter
-	// SessionSolves counts kernel dispatches made on behalf of delta
-	// sessions (these bypass the batcher); SessionWarm the subset answered
-	// by the incremental warm-start path rather than a full solve.
+	// SessionSolves counts kernel solves run on behalf of delta sessions
+	// (these never share a flight); SessionWarm the subset answered by the
+	// incremental warm-start path rather than a full solve.
 	SessionSolves obs.Counter
 	SessionWarm   obs.Counter
 	// UploadsText/UploadsBinary split successful HTTP uploads by wire
@@ -51,13 +50,6 @@ type Stats struct {
 	UploadsText   obs.Counter
 	UploadsBinary obs.Counter
 	StoreLoaded   obs.Counter
-}
-
-// observeBatch records one dispatched micro-batch of n requests.
-func (st *Stats) observeBatch(n int) {
-	st.Batches.Add(1)
-	st.BatchedRequests.Add(int64(n))
-	st.MaxBatch.Max(int64(n))
 }
 
 // snapshotInto writes the counters into m, reading each exactly once (one

@@ -32,10 +32,26 @@ type diskStore struct {
 	maps []*onesided.MappedInstance
 }
 
-// openDiskStore opens (creating if needed) the store directory.
+// tmpPrefix names persist's temp files. One that outlived its rename was
+// orphaned by a crash; openDiskStore deletes it.
+const tmpPrefix = ".tmp-"
+
+// openDiskStore opens (creating if needed) the store directory and deletes
+// the temp files of persists a crash interrupted.
 func openDiskStore(dir string) (*diskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: opening instance store: %w", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("serve: reading instance store: %w", err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), tmpPrefix) {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+				return nil, fmt.Errorf("serve: removing orphaned store file: %w", err)
+			}
+		}
 	}
 	return &diskStore{dir: dir}, nil
 }
@@ -75,9 +91,10 @@ func (d *diskStore) loadAll() ([]*onesided.MappedInstance, error) {
 
 // persist writes ins under id (its fingerprint) via a temp file and rename,
 // so readers — including a concurrently booting second process — never see
-// a partial encoding.
+// a partial encoding, then fsyncs the directory so the rename survives a
+// crash.
 func (d *diskStore) persist(ins *onesided.Instance, id string) error {
-	f, err := os.CreateTemp(d.dir, ".tmp-*")
+	f, err := os.CreateTemp(d.dir, tmpPrefix+"*")
 	if err != nil {
 		return err
 	}
@@ -100,16 +117,33 @@ func (d *diskStore) persist(ins *onesided.Instance, id string) error {
 		os.Remove(tmp)
 		return err
 	}
-	return nil
+	return d.syncDir()
 }
 
-// remove deletes id's file; the mapping (if any) stays live until Close.
-// A missing file is not an error: instances uploaded before the store was
+// remove deletes id's file and fsyncs the directory, so the deletion
+// survives a crash; the mapping (if any) stays live until Close. A missing
+// file is not an error: instances uploaded before the store was
 // configured, or already removed, have nothing on disk.
 func (d *diskStore) remove(id string) error {
 	err := os.Remove(d.path(id))
-	if err != nil && os.IsNotExist(err) {
+	if os.IsNotExist(err) {
 		return nil
+	}
+	if err != nil {
+		return err
+	}
+	return d.syncDir()
+}
+
+// syncDir flushes the directory entry changes of a rename or remove.
+func (d *diskStore) syncDir() error {
+	dir, err := os.Open(d.dir)
+	if err != nil {
+		return err
+	}
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }

@@ -192,6 +192,38 @@ func TestServerStoreRestart(t *testing.T) {
 	}
 }
 
+// TestServerStoreRemovesOrphanedTempFiles is the regression test for crash
+// leftovers: a temp file that a crash left between CreateTemp and Rename is
+// deleted by Open, and the persisted instance beside it is still served.
+func TestServerStoreRemovesOrphanedTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := Open(Config{StoreDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, _, err := s1.Upload(strictInstance(t, 41, 50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.Close()
+	orphan := filepath.Join(dir, ".tmp-orphan")
+	if err := os.WriteFile(orphan, []byte("half an encoding"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(Config{StoreDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
+		t.Fatalf("orphaned temp file survived Open: %v", err)
+	}
+	if out, _, err := s2.Solve(t.Context(), snap.ID, ModePopular); err != nil || !out.Exists {
+		t.Fatalf("persisted instance not served after Open: exists=%v err=%v", out != nil && out.Exists, err)
+	}
+}
+
 // TestServerStoreRejectsCorruptFile pins the boot contract: a corrupt store
 // file fails Open loudly instead of serving a half-decoded registry.
 func TestServerStoreRejectsCorruptFile(t *testing.T) {

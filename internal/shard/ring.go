@@ -6,8 +6,8 @@
 // Placement is a pure function of (shard set, key): every router over the
 // same shard list computes the same owner for every fingerprint, across
 // processes and restarts, with no coordination state. Shards are
-// shared-nothing — each runs its own registry, result cache, batcher and
-// solver pool, so the hot path crosses no cross-shard lock; the router's
+// shared-nothing — each runs its own registry, result cache and solver
+// pool, so the hot path crosses no cross-shard lock; the router's
 // only shared state is its own atomic counters. A single shard is the
 // degenerate ring where every key maps to it, which is why the
 // single-process popserved deployment is the one-router-zero-change special

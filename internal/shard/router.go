@@ -486,9 +486,7 @@ func (rt *Router) writeError(w http.ResponseWriter, r *http.Request, status int,
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // readBody buffers the (bounded) request body so it can be fingerprinted

@@ -174,37 +174,6 @@ func TestCapacitatedDifferentialVsManualCloning(t *testing.T) {
 	}
 }
 
-// TestCapacitatedSolveBatch checks that SolveBatch routes capacitated
-// instances identically to individual solves.
-func TestCapacitatedSolveBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	instances := make([]*Instance, 64)
-	for i := range instances {
-		instances[i] = RandomCapacitated(rng, 6+rng.Intn(20), 3+rng.Intn(10), 1, 4, 3)
-	}
-	s := NewSolver(Options{})
-	defer s.Close()
-	ctx := context.Background()
-	batch, err := s.SolveBatch(ctx, instances)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, ins := range instances {
-		single, err := s.Solve(ctx, ins)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if batch[i].Exists != single.Exists || batch[i].Size != single.Size {
-			t.Fatalf("instance %d: batch (%v,%d) vs single (%v,%d)",
-				i, batch[i].Exists, batch[i].Size, single.Exists, single.Size)
-		}
-		if single.Exists && !equalProfiles(batch[i].Assignment.Profile(ins), single.Assignment.Profile(ins)) {
-			t.Fatalf("instance %d: batch profile %v vs single %v",
-				i, batch[i].Assignment.Profile(ins), single.Assignment.Profile(ins))
-		}
-	}
-}
-
 // TestAllOnesCapacityKeepsPeelRounds pins that an explicit all-ones capacity
 // vector is a strict superset of the historical API: the strict path runs
 // underneath and its Algorithm 2 peel-round diagnostic survives.

@@ -79,33 +79,6 @@ func TestSolverCloseRacesInFlightSolve(t *testing.T) {
 	}
 }
 
-func TestSolverCloseRacesSolveBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	batch := make([]*Instance, 24)
-	for i := range batch {
-		batch[i] = Solvable(rng, 80, 10, 4)
-	}
-	s := NewSolver(Options{Workers: 4})
-	errc := make(chan error, 1)
-	go func() {
-		var err error
-		for err == nil {
-			_, err = s.SolveBatch(context.Background(), batch)
-		}
-		errc <- err
-	}()
-	time.Sleep(2 * time.Millisecond)
-	s.Close()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, ErrSolverClosed) {
-			t.Fatalf("SolveBatch after Close: got %v, want ErrSolverClosed", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("SolveBatch did not observe Close (deadlock)")
-	}
-}
-
 func TestSolverCloseIdempotentAndConcurrent(t *testing.T) {
 	s := NewSolver(Options{Workers: 2})
 	var wg sync.WaitGroup
@@ -120,9 +93,6 @@ func TestSolverCloseIdempotentAndConcurrent(t *testing.T) {
 	var res Result
 	if err := s.SolveInto(context.Background(), mustStrict(t), &res); !errors.Is(err, ErrSolverClosed) {
 		t.Fatalf("SolveInto on closed solver: got %v, want ErrSolverClosed", err)
-	}
-	if _, err := s.SolveBatch(context.Background(), []*Instance{mustStrict(t)}); !errors.Is(err, ErrSolverClosed) {
-		t.Fatalf("SolveBatch on closed solver: got %v, want ErrSolverClosed", err)
 	}
 	if err := s.Verify(context.Background(), mustStrict(t), nil); !errors.Is(err, ErrSolverClosed) {
 		t.Fatalf("Verify on closed solver: got %v, want ErrSolverClosed", err)

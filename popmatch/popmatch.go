@@ -34,7 +34,7 @@
 //
 // Capacitated instances reduce to the unit model by post cloning (capacity-c
 // posts become c tied unit posts) and are solved with the ties machinery;
-// Solve, MaxCardinality, SolveTies and SolveBatch route them automatically
+// Solve, MaxCardinality and SolveTies route them automatically
 // and report the result in Result.Assignment. Unit-capacity instances take
 // the historical code path and return bit-identical matchings. Surfaces
 // without a capacitated route (MaxWeight, RankMaximal, Fair, Count, ...)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bipartite"
@@ -36,7 +35,7 @@ var ErrSolverClosed = errors.New("popmatch: solver is closed")
 // For a single throwaway computation the package-level functions (Solve,
 // MaxCardinality, ...) remain available as thin wrappers; a service handling
 // many instances should hold one Solver for the process lifetime and call
-// Solve/SolveBatch on it — repeated solves then reuse both workers and
+// Solve/SolveRequest on it — repeated solves then reuse both workers and
 // scratch memory.
 type Solver struct {
 	pool     *par.Pool
@@ -355,67 +354,4 @@ func (s *Solver) MaxBipartiteMatching(ctx context.Context, adj [][]int32, nRight
 		}
 	}
 	return core.MaxMatchingViaPopular(g, opt)
-}
-
-// SolveBatch solves many instances over the Solver's one persistent pool,
-// pipelining up to Workers() solves concurrently so the round barriers of
-// one instance overlap the compute of another. results[i] corresponds to
-// instances[i]. The first failing solve cancels the remaining ones and its
-// error is returned; on a non-nil error the results are meaningless.
-func (s *Solver) SolveBatch(ctx context.Context, instances []*Instance) ([]Result, error) {
-	results := make([]Result, len(instances))
-	if len(instances) == 0 {
-		return results, nil
-	}
-	inflight := s.pool.Workers()
-	if inflight > len(instances) {
-		inflight = len(instances)
-	}
-	bctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	for w := 0; w < inflight; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(instances) || bctx.Err() != nil {
-					return
-				}
-				res, err := s.Solve(bctx, instances[i])
-				if err != nil {
-					errOnce.Do(func() {
-						firstErr = fmt.Errorf("popmatch: batch instance %d: %w", i, err)
-						cancel()
-					})
-					return
-				}
-				results[i] = res
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	// Workers bail out on a cancelled parent context before any Solve can
-	// report it; surface the cancellation rather than a silent empty batch.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// SolveBatch solves many instances with a throwaway Solver; services should
-// hold a Solver and call its SolveBatch instead to amortize the pool.
-func SolveBatch(ctx context.Context, instances []*Instance, o Options) ([]Result, error) {
-	s := NewSolver(o)
-	defer s.Close()
-	return s.SolveBatch(ctx, instances)
 }

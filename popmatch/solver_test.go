@@ -112,64 +112,6 @@ func TestSolverCancellationTies(t *testing.T) {
 	}
 }
 
-func TestSolveBatchMatchesLoopedSolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	instances := make([]*Instance, 12)
-	for i := range instances {
-		if i%3 == 2 {
-			instances[i] = Unsolvable(2 + i%4)
-		} else {
-			instances[i] = Solvable(rng, 100+i*17, 10, 4)
-		}
-	}
-	s := NewSolver(Options{})
-	defer s.Close()
-	batch, err := s.SolveBatch(context.Background(), instances)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != len(instances) {
-		t.Fatalf("batch returned %d results for %d instances", len(batch), len(instances))
-	}
-	for i, ins := range instances {
-		want, err := s.Solve(context.Background(), ins)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := batch[i]
-		if got.Exists != want.Exists || got.Size != want.Size {
-			t.Fatalf("instance %d: batch (exists=%v size=%d) != loop (exists=%v size=%d)",
-				i, got.Exists, got.Size, want.Exists, want.Size)
-		}
-		if got.Exists {
-			if err := s.Verify(context.Background(), ins, got.Matching); err != nil {
-				t.Fatalf("instance %d: batch matching not popular: %v", i, err)
-			}
-		}
-	}
-}
-
-func TestSolveBatchCancelled(t *testing.T) {
-	instances := make([]*Instance, 8)
-	for i := range instances {
-		instances[i] = solvableInstance(t, 2000)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := SolveBatch(ctx, instances, Options{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestSolveBatchEmpty(t *testing.T) {
-	s := NewSolver(Options{})
-	defer s.Close()
-	res, err := s.SolveBatch(context.Background(), nil)
-	if err != nil || len(res) != 0 {
-		t.Fatalf("empty batch: res=%v err=%v", res, err)
-	}
-}
-
 func TestSolverConcurrentUse(t *testing.T) {
 	ins := solvableInstance(t, 400)
 	s := NewSolver(Options{})
@@ -227,25 +169,6 @@ func BenchmarkOneShotSolve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Solve(ins, Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSolveBatch pipelines a fixed batch over the persistent pool.
-func BenchmarkSolveBatch(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	instances := make([]*Instance, 16)
-	for i := range instances {
-		instances[i] = Solvable(rng, 500, 50, 4)
-	}
-	s := NewSolver(Options{})
-	defer s.Close()
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.SolveBatch(ctx, instances); err != nil {
 			b.Fatal(err)
 		}
 	}
