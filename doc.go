@@ -86,15 +86,17 @@
 // RemoveApplicant, SetCapacity) that patches the cached CSR in place,
 // journals each edit and advances an epoch with an incrementally-maintained
 // fingerprint; popmatch.DeltaSession (Solver.SolveDelta/SolveDeltaInto)
-// warm-starts the next solve from the previous matching by re-peeling only
-// the G′ components reachable from the edited rows — bit-identical to a
-// full solve, with a transparent full-solve fallback when the dirty region
-// outgrows the warm thresholds. Over HTTP (internal/serve) the same
-// machinery is a session: a mutable fork of a registered snapshot with
-// serialized mutations and epoch-keyed result caching (POST /v1/sessions,
-// .../mutations, .../solve). The trajectory baseline lives in
-// BENCH_delta.json (popbench -scenario delta): 8.3x over a full re-solve
-// on single-row edits at n=100k. See the README's "Delta solves" section.
+// warm-starts the next solve from the previous matching: it updates (f, s)
+// and an index of G′ for the edited rows, searches that index for the G′
+// components the edit touches and re-peels only those — bit-identical to a
+// full solve, at a cost that follows the edit rather than the instance,
+// with a transparent full-solve fallback when the dirty region outgrows the
+// warm thresholds. Over HTTP (internal/serve) the same machinery is a
+// session: a mutable fork of a registered snapshot with serialized
+// mutations and one result-cache line per (session, mode), replaced epoch
+// by epoch (POST /v1/sessions, .../mutations, .../solve).
+// bash benchmark/run.sh --workload session_churn measures it end to end.
+// See the README's "Delta solves" section.
 //
 // Instances enter the system through two wire formats: the line-oriented
 // text format (for humans) and a versioned little-endian columnar binary

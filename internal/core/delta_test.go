@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/exec"
@@ -370,4 +373,174 @@ func TestSolveDeltaExistenceFlips(t *testing.T) {
 	mustSet(2, []int32{2, 3})
 	check("wedge released")
 	check("re-query")
+}
+
+// deltaStep solves ins through st and checks the result bit-identical to a
+// fresh solve on a fresh engine.
+func deltaStep(t *testing.T, label string, ins *onesided.Instance, st *DeltaState, opt Options, pool *par.Pool) {
+	t.Helper()
+	out, err := SolveDeltaRequest(ins, Request{Mode: ModePopular}, st, opt)
+	if err != nil {
+		t.Fatalf("%s: delta: %v", label, err)
+	}
+	want, err := SolveRequest(ins, Request{Mode: ModePopular}, Options{Pool: pool})
+	if err != nil {
+		t.Fatalf("%s: fresh: %v", label, err)
+	}
+	if out.Exists != want.Exists {
+		t.Fatalf("%s: delta exists=%v fresh=%v", label, out.Exists, want.Exists)
+	}
+	if out.Exists && !out.Matching.Equal(want.Matching) {
+		t.Fatalf("%s: delta matching diverged from fresh", label)
+	}
+}
+
+// TestSolveDeltaFirstChoiceTrial is TestSolveDeltaSequentialTrial for edits
+// that move first choices: each step either moves an applicant's first
+// choice onto another applicant's (its own post leaves the f-posts) or moves
+// a moved applicant back (its post rejoins them). Rows also list other
+// applicants' first choices as seconds, so a flip shifts s(b) for rows far
+// from the edit. Some steps edit a row twice, so the journal names it twice.
+func TestSolveDeltaFirstChoiceTrial(t *testing.T) {
+	pool := par.NewPool(1)
+	defer pool.Close()
+	cx := exec.New(exec.Config{Pool: pool, Arena: exec.NewArena()})
+	reused := Options{Exec: cx}
+
+	rng := rand.New(rand.NewSource(37))
+	const n, extra = 3000, 750
+	ins := onesided.Solvable(rng, n, extra, 5)
+	row := func(first int32) []int32 {
+		r := []int32{first}
+		for len(r) < 4 {
+			p := int32(n + rng.Intn(extra))
+			if len(r) == 1 {
+				p = int32(rng.Intn(n)) // another applicant's first choice
+			}
+			if !slices.Contains(r, p) {
+				r = append(r, p)
+			}
+		}
+		return r
+	}
+	var st DeltaState
+	deltaStep(t, "capture", ins, &st, reused, pool)
+	var moved []int
+	warm, flips := 0, 0
+	const steps = 60
+	for step := 1; step <= steps; step++ {
+		edits := 1 + rng.Intn(2)
+		for range edits {
+			if len(moved) > 0 && step%2 == 0 {
+				a := moved[len(moved)-1]
+				moved = moved[:len(moved)-1]
+				if err := ins.SetPreferences(a, row(int32(a)), nil); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			a := rng.Intn(n)
+			if err := ins.SetPreferences(a, row(int32(rng.Intn(n))), nil); err != nil {
+				t.Fatal(err)
+			}
+			if step%3 == 0 { // the same row again in this batch
+				if err := ins.SetPreferences(a, row(int32(rng.Intn(n))), nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			moved = append(moved, a)
+		}
+		deltaStep(t, fmt.Sprintf("step %d", step), ins, &st, reused, pool)
+		s := st.Stats()
+		if s.Warm {
+			warm++
+		}
+		if s.ChangedRows > edits {
+			flips++ // some s(b) moved outside the edited rows
+		}
+	}
+	if warm < steps*2/3 {
+		t.Fatalf("warm path carried only %d/%d first-choice steps", warm, steps)
+	}
+	if flips == 0 {
+		t.Fatal("no step moved s(b) outside its edited rows; the flip rescan went untested")
+	}
+}
+
+// TestSolveDeltaCancelledWarmSolve cancels a warm solve after it has
+// updated the G′ index in place (the cancellation surfaces in the
+// sub-solve): it must report context.Canceled, and both the next solve and
+// a further warm edit must still equal fresh solves.
+func TestSolveDeltaCancelledWarmSolve(t *testing.T) {
+	pool := par.NewPool(1)
+	defer pool.Close()
+	arena := exec.NewArena()
+	live := Options{Exec: exec.New(exec.Config{Pool: pool, Arena: arena})}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	dead := Options{Exec: exec.New(exec.Config{Pool: pool, Arena: arena, Context: ctx})}
+
+	ins := blockInstance(t, 50)
+	var st DeltaState
+	deltaStep(t, "capture", ins, &st, live, pool)
+	// Applicant 0 now shares first choice 1 and has no second: the captured
+	// 0 → post 0 cannot survive, so a stale answer would show.
+	if err := ins.SetPreferences(0, []int32{1}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SolveDeltaRequest(ins, Request{Mode: ModePopular}, &st, dead); !errors.Is(err, context.Canceled) {
+		t.Fatalf("warm solve on a cancelled context: err=%v, want context.Canceled", err)
+	}
+	deltaStep(t, "after cancel", ins, &st, live, pool)
+	if err := ins.SetPreferences(9, []int32{10, 8}, nil); err != nil {
+		t.Fatal(err)
+	}
+	deltaStep(t, "warm edit after cancel", ins, &st, live, pool)
+	if !st.Stats().Warm {
+		t.Fatalf("edit after the re-capture did not run warm: %+v", st.Stats())
+	}
+}
+
+// TestSolveDeltaFallbackThenWarm forces a full re-solve through the
+// changed-row bound mid-sequence, then checks that single-row edits go warm
+// again from the state that fallback captured.
+func TestSolveDeltaFallbackThenWarm(t *testing.T) {
+	pool := par.NewPool(1)
+	defer pool.Close()
+	cx := exec.New(exec.Config{Pool: pool, Arena: exec.NewArena()})
+	reused := Options{Exec: cx}
+
+	rng := rand.New(rand.NewSource(41))
+	const n, extra = 400, 100
+	ins := onesided.Solvable(rng, n, extra, 4)
+	seconds := func(a int) []int32 {
+		r := []int32{int32(a)}
+		for len(r) < 4 {
+			if p := int32(n + rng.Intn(extra)); !slices.Contains(r, p) {
+				r = append(r, p)
+			}
+		}
+		return r
+	}
+	var st DeltaState
+	deltaStep(t, "capture", ins, &st, reused, pool)
+	for a := 0; a < n/2; a++ {
+		if err := ins.SetPreferences(a, seconds(a), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deltaStep(t, "bulk edit", ins, &st, reused, pool)
+	if s := st.Stats(); s.Warm || s.ChangedRows <= n/deltaChangedMax+1 {
+		t.Fatalf("bulk edit did not fall back through the changed-row bound: %+v", s)
+	}
+	for step := 0; step < 10; step++ {
+		a := rng.Intn(n)
+		if err := ins.SetPreferences(a, seconds(a), nil); err != nil {
+			t.Fatal(err)
+		}
+		deltaStep(t, fmt.Sprintf("edit %d after fallback", step), ins, &st, reused, pool)
+		if s := st.Stats(); !s.Warm && !s.CacheHit {
+			t.Fatalf("edit %d after fallback did not run warm: %+v", step, s)
+		}
+	}
 }

@@ -2,11 +2,9 @@ package onesided
 
 import (
 	"bufio"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
 	"math"
 	"unsafe"
@@ -266,7 +264,11 @@ func decodeBinary(data []byte, fingerprint bool) (*Instance, error) {
 	if l.flags&flagCapacities != 0 {
 		c.Capacities = aliasInt32s(data[l.capOff:l.total])
 	}
-	digests, err := validateDecoded(c, fingerprint)
+	var h *rowHasher
+	if fingerprint {
+		h = newRowHasher()
+	}
+	digests, err := validateDecoded(c, h)
 	if err != nil {
 		return nil, err
 	}
@@ -277,7 +279,7 @@ func decodeBinary(data []byte, fingerprint bool) (*Instance, error) {
 	ins.csrCache.Store(c)
 	if fingerprint {
 		ins.digests.Store(&digests)
-		fp := fingerprintRows(l.applicants, l.posts, digests, c.Capacities)
+		fp := h.combine(l.applicants, l.posts, digests, c.Capacities)
 		ins.fpCache.Store(&fp)
 	}
 	ins.recordFingerprint()
@@ -288,11 +290,11 @@ func decodeBinary(data []byte, fingerprint bool) (*Instance, error) {
 // CSR: it enforces exactly the invariants of CSR.Validate (monotone offsets
 // covering the flat arrays, non-empty rows, in-range distinct posts, 1-based
 // contiguous nondecreasing ranks, positive capacities), derives the
-// strictness bit, and — when asked — streams the per-row SHA-256 digests
-// while the row is hot in cache. Duplicate detection goes through dupSet, so
-// a pathological header (huge post space, tiny file) costs memory
-// proportional to the input, not to the claim.
-func validateDecoded(c *CSR, fingerprint bool) (rowDigests, error) {
+// strictness bit, and — given a hasher — streams the per-row SHA-256
+// digests while the row is hot in cache. Duplicate detection goes through
+// dupSet, so a pathological header (huge post space, tiny file) costs
+// memory proportional to the input, not to the claim.
+func validateDecoded(c *CSR, h *rowHasher) (rowDigests, error) {
 	if c.Off[0] != 0 {
 		return nil, fmt.Errorf("onesided: binary instance row offsets start at %d, want 0", c.Off[0])
 	}
@@ -307,10 +309,8 @@ func validateDecoded(c *CSR, fingerprint bool) (rowDigests, error) {
 	}
 	seen := newDupSet(c.NumPosts, len(c.Post))
 	var digests rowDigests
-	var h *sha256Stream
-	if fingerprint {
+	if h != nil {
 		digests = make(rowDigests, c.NumApplicants)
-		h = newSHA256Stream()
 	}
 	strict := true
 	for a := 0; a < c.NumApplicants; a++ {
@@ -340,39 +340,12 @@ func validateDecoded(c *CSR, fingerprint bool) (rowDigests, error) {
 				strict = false
 			}
 		}
-		if fingerprint {
-			digests[a] = h.rowDigest(c.Post[lo:hi], c.Rank[lo:hi])
+		if h != nil {
+			digests[a] = h.digest(c.Post[lo:hi], c.Rank[lo:hi])
 		}
 	}
 	c.strict = strict
 	return digests, nil
-}
-
-// sha256Stream reuses one hash state and output buffer across row digests, so
-// fingerprint streaming adds zero allocations per row.
-type sha256Stream struct {
-	h   hash.Hash
-	sum [sha256.Size]byte
-	buf [8]byte
-}
-
-func newSHA256Stream() *sha256Stream {
-	return &sha256Stream{h: sha256.New()}
-}
-
-// rowDigest computes the same per-row digest as the package-level rowDigest,
-// reusing the stream's hash state and buffers.
-func (s *sha256Stream) rowDigest(posts, ranks []int32) (d [16]byte) {
-	s.h.Reset()
-	binary.LittleEndian.PutUint64(s.buf[:], uint64(len(posts)))
-	s.h.Write(s.buf[:])
-	for i := range posts {
-		binary.LittleEndian.PutUint32(s.buf[:4], uint32(posts[i]))
-		binary.LittleEndian.PutUint32(s.buf[4:], uint32(ranks[i]))
-		s.h.Write(s.buf[:])
-	}
-	copy(d[:], s.h.Sum(s.sum[:0])[:16])
-	return d
 }
 
 // ReadBinary reads one complete binary encoding from r. The stream is read

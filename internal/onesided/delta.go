@@ -149,7 +149,7 @@ func (ins *Instance) AddApplicant(posts, ranks []int32) (int, error) {
 		ins.rankCache.Store(&next)
 	}
 	if d := ins.digests.Load(); d != nil {
-		next := append(*d, rowDigest(p, r))
+		next := append(*d, newRowHasher().digest(p, r))
 		ins.digests.Store(&next)
 	}
 	ins.bump(-1)
@@ -289,7 +289,7 @@ func (ins *Instance) patchRow(a int, wasTied, isTied bool) {
 		(*maps)[a] = m
 	}
 	if d := ins.digests.Load(); d != nil {
-		(*d)[a] = rowDigest(ins.Lists[a], ins.Ranks[a])
+		(*d)[a] = newRowHasher().digest(ins.Lists[a], ins.Ranks[a])
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"hash"
 )
 
 // rowDigests caches one truncated SHA-256 per applicant preference row. The
@@ -31,61 +32,80 @@ func (ins *Instance) Fingerprint() string {
 	if fp := ins.fpCache.Load(); fp != nil {
 		return *fp
 	}
+	h := newRowHasher()
 	d := ins.digests.Load()
 	if d == nil {
 		built := make(rowDigests, ins.NumApplicants)
 		for a := range ins.Lists {
-			built[a] = rowDigest(ins.Lists[a], ins.Ranks[a])
+			built[a] = h.digest(ins.Lists[a], ins.Ranks[a])
 		}
 		// Concurrent builders race benignly: identical digests, either wins.
 		ins.digests.Store(&built)
 		d = &built
 	}
-	fp := fingerprintRows(ins.NumApplicants, ins.NumPosts, *d, ins.Capacities)
+	fp := h.combine(ins.NumApplicants, ins.NumPosts, *d, ins.Capacities)
 	ins.fpCache.Store(&fp)
 	return fp
 }
 
-// rowDigest hashes one preference row. The length prefix keeps rows from
+// rowHasher computes fingerprint digests with one reused SHA-256 state and
+// one encode buffer that input is streamed through in chunks, so hashing a
+// row allocates nothing, whatever its length.
+type rowHasher struct {
+	h   hash.Hash
+	sum [sha256.Size]byte
+	buf [512]byte // a multiple of 8: whole (post, rank) pairs per chunk
+}
+
+func newRowHasher() *rowHasher { return &rowHasher{h: sha256.New()} }
+
+// digest hashes one preference row. The length prefix keeps rows from
 // colliding by concatenation; posts and ranks are interleaved little-endian.
-func rowDigest(posts, ranks []int32) (d [16]byte) {
-	h := sha256.New()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(len(posts)))
-	h.Write(buf[:])
+func (r *rowHasher) digest(posts, ranks []int32) (d [16]byte) {
+	r.h.Reset()
+	binary.LittleEndian.PutUint64(r.buf[:], uint64(len(posts)))
+	n := 8
 	for i := range posts {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(posts[i]))
-		binary.LittleEndian.PutUint32(buf[4:], uint32(ranks[i]))
-		h.Write(buf[:])
+		if n == len(r.buf) {
+			r.h.Write(r.buf[:n])
+			n = 0
+		}
+		binary.LittleEndian.PutUint32(r.buf[n:], uint32(posts[i]))
+		binary.LittleEndian.PutUint32(r.buf[n+4:], uint32(ranks[i]))
+		n += 8
 	}
-	sum := h.Sum(nil)
-	copy(d[:], sum[:16])
+	r.h.Write(r.buf[:n])
+	copy(d[:], r.h.Sum(r.sum[:0]))
 	return d
 }
 
-// fingerprintRows combines the per-row digests into the top-level hash. Each
+// combine hashes the per-row digests into the top-level fingerprint. Each
 // row digest is fixed-size and the row count is written first, so the
 // encoding is prefix-free; section tags keep the capacity vector from
 // colliding with digest bytes.
-func fingerprintRows(numApplicants, numPosts int, rows rowDigests, caps []int32) string {
-	h := sha256.New()
-	var buf [8]byte
+func (r *rowHasher) combine(numApplicants, numPosts int, rows rowDigests, caps []int32) string {
+	r.h.Reset()
 	writeInt := func(v int) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
+		binary.LittleEndian.PutUint64(r.buf[:], uint64(v))
+		r.h.Write(r.buf[:8])
+	}
+	writeTag := func(tag byte) {
+		r.buf[0] = tag
+		r.h.Write(r.buf[:1])
 	}
 	writeInt(numApplicants)
 	writeInt(numPosts)
-	h.Write([]byte{'R'})
+	writeTag('R')
 	for i := range rows {
-		h.Write(rows[i][:])
+		r.h.Write(rows[i][:])
 	}
-	h.Write([]byte{'c'})
+	writeTag('c')
 	writeInt(len(caps))
 	for _, v := range caps {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(v))
-		h.Write(buf[:4])
+		binary.LittleEndian.PutUint32(r.buf[:], uint32(v))
+		r.h.Write(r.buf[:4])
 	}
-	sum := h.Sum(nil)
-	return hex.EncodeToString(sum[:16])
+	var hex32 [32]byte
+	hex.Encode(hex32[:], r.h.Sum(r.sum[:0])[:16])
+	return string(hex32[:])
 }

@@ -103,3 +103,23 @@ func TestFingerprintNoCollisionsSmallCorpus(t *testing.T) {
 		t.Fatalf("only %d distinct fingerprints over 200 random instances", len(seen))
 	}
 }
+
+// TestFingerprintAllocations pins the row digests allocation-free: hashing
+// a fresh 1,000-row instance costs a handful of allocations per call (the
+// digest slice, the hasher, the result string), never one per row.
+func TestFingerprintAllocations(t *testing.T) {
+	base := Solvable(rand.New(rand.NewSource(5)), 1000, 250, 5)
+	const runs = 20
+	fresh := make([]*Instance, runs+1) // AllocsPerRun adds one warm-up call
+	for i := range fresh {
+		fresh[i] = base.Clone()
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		fresh[i].Fingerprint()
+		i++
+	})
+	if allocs > 8 {
+		t.Fatalf("Fingerprint of a fresh 1,000-row instance made %.0f allocations, want <= 8", allocs)
+	}
+}

@@ -8,8 +8,9 @@
 //   - Registry: fingerprint-keyed immutable instance snapshots. Uploading is
 //     idempotent by content; every solve of a snapshot shares its cached CSR
 //     form.
-//   - resultCache: an LRU keyed by (instance fingerprint, mode). A repeat
-//     query is answered without touching the kernel at all.
+//   - resultCache: an LRU keyed by (instance fingerprint, mode), or by
+//     (session, mode) with the line stamped by the session's epoch. A
+//     repeat query is answered without touching the kernel at all.
 //   - flights: a cache miss starts a flight, one goroutine that takes one of
 //     GOMAXPROCS solve slots and runs the kernel. Requests for the same
 //     (instance, mode) that arrive while it runs wait for the same result;

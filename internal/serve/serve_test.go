@@ -184,28 +184,54 @@ func TestLRUEvictsOldest(t *testing.T) {
 
 // TestEvictInstanceDropsEveryKeyShape is the regression test for the evict
 // bug: the old implementation probed cacheKey{id, mode} for each mode in the
-// global Modes list, so any key carrying an out-of-list mode — or, since
-// sessions, a nonzero epoch — survived eviction and leaked until LRU
-// pressure pushed it out (while staying servable for a deleted id).
+// global Modes list, so any key carrying an out-of-list mode survived
+// eviction and leaked until LRU pressure pushed it out (while staying
+// servable for a deleted id). A session line, whose key carries a nonzero
+// epoch, must go too.
 func TestEvictInstanceDropsEveryKeyShape(t *testing.T) {
 	c := newResultCache(8)
 	o := &Outcome{}
 	c.Put(cacheKey{id: "x", mode: ModePopular}, o)
 	c.Put(cacheKey{id: "x", mode: Mode(99)}, o)              // not in Modes
-	c.Put(cacheKey{id: "x", mode: ModePopular, epoch: 7}, o) // session epoch key
+	c.Put(cacheKey{id: "s", mode: ModePopular, epoch: 7}, o) // session line
 	c.Put(cacheKey{id: "y", mode: ModePopular}, o)
 	c.EvictInstance("x")
+	c.EvictInstance("s")
 	if got := c.Len(); got != 1 {
-		t.Fatalf("cache holds %d entries after evicting x, want 1", got)
+		t.Fatalf("cache holds %d entries after evicting x and s, want 1", got)
 	}
-	if _, ok := c.Get(cacheKey{id: "x", mode: ModePopular, epoch: 7}); ok {
-		t.Fatal("epoch-carrying key survived EvictInstance")
+	if _, ok := c.Get(cacheKey{id: "s", mode: ModePopular, epoch: 7}); ok {
+		t.Fatal("session line survived EvictInstance")
 	}
 	if _, ok := c.Get(cacheKey{id: "x", mode: Mode(99)}); ok {
 		t.Fatal("foreign-mode key survived EvictInstance")
 	}
 	if _, ok := c.Get(cacheKey{id: "y", mode: ModePopular}); !ok {
 		t.Fatal("unrelated instance was evicted")
+	}
+}
+
+// TestCacheLineFollowsEpoch pins the one-line-per-(id, mode) rule: a line
+// answers only its own epoch, a newer epoch replaces it in place, and an
+// older Put cannot roll it back.
+func TestCacheLineFollowsEpoch(t *testing.T) {
+	c := newResultCache(8)
+	o1, o2 := &Outcome{Size: 1}, &Outcome{Size: 2}
+	k := func(epoch uint64) cacheKey { return cacheKey{id: "s", mode: ModePopular, epoch: epoch} }
+	c.Put(k(1), o1)
+	if _, ok := c.Get(k(2)); ok {
+		t.Fatal("epoch 1 line answered epoch 2")
+	}
+	c.Put(k(2), o2)
+	if got := c.Len(); got != 1 {
+		t.Fatalf("cache holds %d lines for one (id, mode), want 1", got)
+	}
+	if _, ok := c.Get(k(1)); ok {
+		t.Fatal("replaced epoch 1 still answers")
+	}
+	c.Put(k(1), o1)
+	if out, ok := c.Get(k(2)); !ok || out != o2 {
+		t.Fatal("an older Put rolled the line back")
 	}
 }
 

@@ -112,8 +112,8 @@ func (t *sessionTable) len() int {
 
 // SessionInfo is a point-in-time description of a session (the wire form).
 // Epoch is the instance's mutation epoch: it advances with every applied
-// mutation, distinguishes cached re-match results, and lets a client detect
-// concurrent writers to a shared session.
+// mutation, tells a cached re-match result whether it is still current, and
+// lets a client detect concurrent writers to a shared session.
 type SessionInfo struct {
 	ID         string `json:"id"`
 	Source     string `json:"source"`
@@ -280,18 +280,20 @@ type SessionSolveMeta struct {
 }
 
 // SolveSession re-matches a session's instance at its current mutation
-// epoch. Results are cached per (session, mode, epoch) — a re-query without
-// intervening mutations is answered from cache, and a cache line can never
-// outlive its epoch. On a miss, ModePopular rides the warm-started delta
-// solver; other modes full-solve the current instance.
+// epoch. The cache holds one line per (session, mode), stamped with the
+// epoch it answers: a re-query without intervening mutations is answered
+// from it, a re-match after a mutation misses and its result replaces the
+// line, so a session's churn never fills the cache with dead epochs. On a
+// miss, ModePopular rides the warm-started delta solver; other modes
+// full-solve the current instance.
 func (s *Server) SolveSession(ctx context.Context, id string, mode Mode) (*Outcome, SessionSolveMeta, error) {
 	return s.solveSession(ctx, id, mode, nil)
 }
 
 // SolveSessionTraced is SolveSession with a per-phase trace: the solve fills
 // tr (the warm delta path attributes its splice work there). Traced session
-// solves bypass the epoch-keyed result cache in both directions so the trace
-// always reflects a real kernel dispatch of exactly this request.
+// solves bypass the result cache in both directions so the trace always
+// reflects a real kernel dispatch of exactly this request.
 func (s *Server) SolveSessionTraced(ctx context.Context, id string, mode Mode, tr *popmatch.SolveTrace) (*Outcome, SessionSolveMeta, error) {
 	return s.solveSession(ctx, id, mode, tr)
 }

@@ -150,6 +150,43 @@ func TestSessionLifecycleAndDeltaCorrectness(t *testing.T) {
 	}
 }
 
+// TestSessionChurnKeepsRegisteredLines is the regression test for session
+// re-matches flushing the result cache: each re-match after a mutation used
+// to add a line keyed by its new epoch, which no request could hit again, so
+// a busy session pushed every registered instance's results out of the LRU.
+// A session now holds one line per mode, replaced epoch by epoch.
+func TestSessionChurnKeepsRegisteredLines(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, CacheSize: 4})
+	ctx := context.Background()
+	snap, _, err := s.Upload(strictInstance(t, 53, 60))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Solve(ctx, snap.ID, ModePopular); err != nil {
+		t.Fatal(err)
+	}
+	info, err := s.CreateSession(snap.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, _, err := s.MutateSession(info.ID, []Mutation{
+			{Op: "set_preferences", Applicant: i, Posts: []int32{int32(i), int32(60 + i)}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if _, meta, err := s.SolveSession(ctx, info.ID, ModePopular); err != nil || meta.Cached {
+			t.Fatalf("cycle %d: re-match meta=%+v err=%v", i, meta, err)
+		}
+		if got := s.Stats()["cache_entries"]; got != 2 {
+			t.Fatalf("cycle %d: cache_entries = %d, want 2 (instance + session)", i, got)
+		}
+	}
+	if _, hit, err := s.Solve(ctx, snap.ID, ModePopular); err != nil || !hit {
+		t.Fatalf("registered instance's solve after session churn: hit=%v err=%v", hit, err)
+	}
+}
+
 func TestSessionMutationErrorsAndPartialBatches(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	snap, _, err := s.Upload(strictInstance(t, 43, 50))

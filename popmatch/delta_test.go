@@ -2,7 +2,9 @@ package popmatch
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -113,5 +115,52 @@ func TestSolveDeltaReset(t *testing.T) {
 	}
 	if st := sess.Stats(); st.Warm || st.CacheHit {
 		t.Fatalf("solve after Reset should be a full capture, got %+v", st)
+	}
+}
+
+// BenchmarkSolveDeltaWarm times the kernel side of one session re-match: a
+// 4-row edit (each row keeps its unique first choice and redraws its four
+// seconds) followed by a warm delta solve on one worker. The warm path's
+// own work is proportional to the edit; what still grows with n is the
+// copy of the retained matching into the caller's result.
+func BenchmarkSolveDeltaWarm(b *testing.B) {
+	for _, n := range []int{20_000, 200_000, 1_000_000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(7))
+			extra := n / 4
+			ins := Solvable(rng, n, extra, 5)
+			s := NewSolver(Options{Workers: 1})
+			defer s.Close()
+			ctx := context.Background()
+			req := Request{Mode: ModePopular}
+			var sess DeltaSession
+			var res Result
+			if err := s.SolveDeltaInto(ctx, ins, req, &sess, &res); err != nil {
+				b.Fatal(err)
+			}
+			row := make([]int32, 0, 5)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for range 4 {
+					a := rng.Intn(n)
+					row = append(row[:0], int32(a))
+					for len(row) < 5 {
+						if p := int32(n + rng.Intn(extra)); !slices.Contains(row, p) {
+							row = append(row, p)
+						}
+					}
+					if err := ins.SetPreferences(a, row, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := s.SolveDeltaInto(ctx, ins, req, &sess, &res); err != nil {
+					b.Fatal(err)
+				}
+				if st := sess.Stats(); !st.Warm && !st.CacheHit {
+					b.Fatalf("re-match fell back to a full solve: %+v", st)
+				}
+			}
+		})
 	}
 }
