@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -141,33 +142,55 @@ func TestSolverDeterministicAcrossWorkers(t *testing.T) {
 			}
 		}
 	}
-	// Larger random strict instances: big enough that every loop takes the
-	// parallel path at 8 workers (the corpus instances are tiny).
+	// Larger instances: big enough that every loop takes the parallel path
+	// at 8 workers (the corpus instances are tiny). Six random strict ones,
+	// plus the ring and the chain (see switchRing): one long switching
+	// cycle, and one switching path that takes the cut lifting ladder to
+	// full depth. The rank-maximal weights of the ring and the chain carry
+	// n·log₂(n) bits each, too many at this size, so they run the int64
+	// modes only.
 	if !testing.Short() {
+		type large struct {
+			name  string
+			ins   *onesided.Instance
+			modes []Mode
+		}
+		var cases []large
 		rng := rand.New(rand.NewSource(151))
 		for trial := 0; trial < 5; trial++ {
 			ins := onesided.RandomStrict(rng, 5000+rng.Intn(3000), 3000+rng.Intn(2000), 1, 6)
-			var refExists bool
-			var ref []int32
-			for pi, pool := range pools {
-				out, err := SolveRequest(ins, Request{Mode: ModePopular}, Options{Pool: pool})
-				if err != nil {
-					t.Fatal(err)
-				}
-				var got []int32
-				if out.Exists {
-					got = out.Matching.PostOf
-				}
-				if pi == 0 {
-					refExists, ref = out.Exists, append([]int32(nil), got...)
-					continue
-				}
-				if out.Exists != refExists {
-					t.Fatalf("trial %d: existence varies with workers", trial)
-				}
-				for a := range ref {
-					if got[a] != ref[a] {
-						t.Fatalf("trial %d: output differs between worker counts at applicant %d", trial, a)
+			cases = append(cases, large{fmt.Sprintf("trial %d", trial), ins, []Mode{ModePopular, ModeMaxCard, ModeRankMaximal}})
+		}
+		// Those five have no popular matching; this one has.
+		cases = append(cases, large{"solvable", onesided.RandomStrict(rng, 6000, 6000, 1, 4),
+			[]Mode{ModePopular, ModeMaxCard, ModeRankMaximal}})
+		cases = append(cases,
+			large{"ring", switchRing(t, 5000, false), []Mode{ModePopular, ModeMaxCard}},
+			large{"chain", switchRing(t, 5000, true), []Mode{ModePopular, ModeMaxCard}})
+		for _, c := range cases {
+			for _, mode := range c.modes {
+				var refExists bool
+				var ref []int32
+				for pi, pool := range pools {
+					out, err := SolveRequest(c.ins, Request{Mode: mode}, Options{Pool: pool})
+					if err != nil {
+						t.Fatal(err)
+					}
+					var got []int32
+					if out.Exists {
+						got = out.Matching.PostOf
+					}
+					if pi == 0 {
+						refExists, ref = out.Exists, append([]int32(nil), got...)
+						continue
+					}
+					if out.Exists != refExists {
+						t.Fatalf("%s mode %s: existence varies with workers", c.name, mode)
+					}
+					for a := range ref {
+						if got[a] != ref[a] {
+							t.Fatalf("%s mode %s: output differs between worker counts at applicant %d", c.name, mode, a)
+						}
 					}
 				}
 			}

@@ -241,6 +241,7 @@ func (e *Engine) optimize(cx *exec.Ctx, ins *onesided.Instance, w WeightFn, maxi
 		func(x, y int64) int64 { return x - y }, int64Ops, opt)
 	stats := optimizeSwitches(sw, ew, int64Ops, opt)
 	cx.PutInt64s(ew)
+	sw.release(cx)
 	return Outcome{Matching: res.Matching, Exists: true, Peel: res.Peel, Promotions: res.Promotions, Switch: stats}, nil
 }
 
@@ -273,6 +274,7 @@ func (e *Engine) bigOptimize(cx *exec.Ctx, ins *onesided.Instance, w func(a, p i
 		func(x, y *big.Int) *big.Int { return e.bigs.get().Sub(x, y) },
 		ops, opt)
 	stats := optimizeSwitches(sw, ew, ops, opt)
+	sw.release(cx)
 	return Outcome{Matching: res.Matching, Exists: true, Peel: res.Peel, Promotions: res.Promotions, Switch: stats}, nil
 }
 

@@ -94,30 +94,29 @@ type kernel struct {
 	fnLoadIsF       func(q int)
 	fnFindS         func(a int)
 	fnCountF        func(a int)
-	fnLoadCnt       func(q int)
-	fnZeroCnt       func(q int)
+	fnLoadCntR      func(lo, hi int)
+	fnZeroCntR      func(lo, hi int)
 	fnScatterF      func(a int)
 	fnSortBuckets   func(q int)
 	fnScanReduce    func(lo, hi int)
 	fnScanScatter   func(lo, hi int)
-	fnInitAlive     func(a int)
-	fnLoadAlive     func(q int)
 	fnCountAdj      func(a int)
+	fnLoadAdjR      func(lo, hi int)
 	fnScatterAdj    func(a int)
 	fnCountDeg      func(ei int)
-	fnLoadDeg       func(q int)
+	fnLoadDegR      func(lo, hi int)
 	fnSuccSeed      func(di int)
 	fnActivate      func(qi int)
 	fnMatchDarts    func(d int)
-	fnApplyDelete   func(d int)
-	fnCountAliveA   func(a int)
-	fnCountAliveP   func(q int)
+	fnApplyDeleteR  func(lo, hi int)
+	fnCountAliveAR  func(lo, hi int)
+	fnCountAlivePR  func(lo, hi int)
 	fnCycleSuccSeed func(di int)
 	fnCanonSeed     func(di int)
-	fnMatchCycles   func(di int)
+	fnMatchCyclesR  func(lo, hi int)
 	fnDoubleSumR    func(lo, hi int)
 	fnDoubleMinR    func(lo, hi int)
-	fnPromote       func(qi int)
+	fnPromoteR      func(lo, hi int)
 }
 
 // dblFlag is a cache-line-padded per-chunk change flag for the early-exit
@@ -141,12 +140,16 @@ func (k *kernel) init() {
 
 	// --- Phase A: reduced graph G′ over the CSR rows ---
 
-	// Mark every first-choice post (arbitrary-CRCW same-value writes).
-	// Strict rows are rank-sorted, so row start = the unique first choice.
+	// Mark every first-choice post (arbitrary-CRCW same-value writes,
+	// stored only by a writer that finds the mark unset: a load is a plain
+	// move, a store an exchange). Strict rows are rank-sorted, so row start
+	// = the unique first choice.
 	k.fnMarkF = func(a int) {
 		f := k.c.Post[k.c.Off[a]]
 		k.red.F[a] = f
-		atomic.StoreUint32(&k.isFBits[f], 1)
+		if atomic.LoadUint32(&k.isFBits[f]) == 0 {
+			atomic.StoreUint32(&k.isFBits[f], 1)
+		}
 	}
 	k.fnLoadIsF = func(q int) { k.red.IsF[q] = k.isFBits[q] == 1 }
 	// s(a) = highest-ranked non-f-post, else l(a): a straight scan of the
@@ -162,8 +165,16 @@ func (k *kernel) init() {
 		k.red.S[a] = s
 	}
 	k.fnCountF = func(a int) { k.postCnt[k.red.F[a]].Add(1) }
-	k.fnLoadCnt = func(q int) { k.cnt32[q] = k.postCnt[q].Load() }
-	k.fnZeroCnt = func(q int) { k.postCnt[q].Store(0) }
+	// Load the counts for the scan and zero the counters for the scatter
+	// that follows: plain writes, which the round barrier orders before
+	// that round's adds.
+	k.fnLoadCntR = func(lo, hi int) {
+		for q := lo; q < hi; q++ {
+			k.cnt32[q] = k.postCnt[q].Load()
+		}
+		clear(k.postCnt[lo:hi])
+	}
+	k.fnZeroCntR = func(lo, hi int) { clear(k.postCnt[lo:hi]) }
 	k.fnScatterF = func(a int) {
 		q := k.red.F[a]
 		slot := k.red.FInvStart[q] + k.postCnt[q].Add(1) - 1
@@ -198,15 +209,30 @@ func (k *kernel) init() {
 
 	// --- Phase B: Algorithm 2 over the two-edges-per-applicant graph ---
 
-	k.fnInitAlive = func(a int) {
-		k.aliveA[a] = true
-		atomic.StoreUint32(&k.isFBits[k.red.F[a]], 1)
-		atomic.StoreUint32(&k.isFBits[k.red.S[a]], 1)
-	}
-	k.fnLoadAlive = func(q int) { k.alivePostB[q] = k.isFBits[q] == 1 }
 	k.fnCountAdj = func(a int) {
+		k.aliveA[a] = true
 		k.postCnt[k.red.F[a]].Add(1)
 		k.postCnt[k.red.S[a]].Add(1)
+	}
+	// Before the first peel every edge is alive, so a post's adjacency
+	// length is its degree and a post is alive iff it has an edge: this
+	// round loads both, counts the degree-1 posts (one shared add per
+	// chunk) and zeroes the counters for the scatter.
+	k.fnLoadAdjR = func(lo, hi int) {
+		deg1 := int32(0)
+		for q := lo; q < hi; q++ {
+			d := k.postCnt[q].Load()
+			k.cnt32[q] = d
+			k.deg[q] = d
+			k.alivePostB[q] = d > 0
+			if d == 1 {
+				deg1++
+			}
+		}
+		clear(k.postCnt[lo:hi])
+		if deg1 != 0 {
+			k.deg1Count.Add(deg1)
+		}
 	}
 	k.fnScatterAdj = func(a int) {
 		qf := k.red.F[a]
@@ -220,13 +246,19 @@ func (k *kernel) init() {
 			k.postCnt[k.edgePost(e)].Add(1)
 		}
 	}
-	k.fnLoadDeg = func(q int) {
-		d := k.postCnt[q].Load()
-		k.deg[q] = d
-		if d == 0 {
-			k.alivePostB[q] = false // drop isolated posts (Algorithm 2 line 9)
-		} else if d == 1 && k.alivePostB[q] {
-			k.deg1Count.Add(1)
+	k.fnLoadDegR = func(lo, hi int) {
+		deg1 := int32(0)
+		for q := lo; q < hi; q++ {
+			d := k.postCnt[q].Load()
+			k.deg[q] = d
+			if d == 0 {
+				k.alivePostB[q] = false // drop isolated posts (Algorithm 2 line 9)
+			} else if d == 1 && k.alivePostB[q] {
+				deg1++
+			}
+		}
+		if deg1 != 0 {
+			k.deg1Count.Add(deg1)
 		}
 	}
 	// One fused round per peel iteration: dart successor, doubling seed
@@ -332,27 +364,45 @@ func (k *kernel) init() {
 	// flags and write disjoint arrays (the matching vs. the aliveness
 	// vectors), so neither observes the other's effect and one barrier
 	// suffices.
-	k.fnApplyDelete = func(d int) {
-		if !k.matchedDart[d] {
-			return
+	k.fnApplyDeleteR = func(lo, hi int) {
+		peeled := int32(0)
+		for d := lo; d < hi; d++ {
+			if !k.matchedDart[d] {
+				continue
+			}
+			e := int32(d) / 2
+			a := e / 2
+			q := k.edgePost(e)
+			k.m.PostOf[a] = q
+			k.m.ApplicantOf[q] = a
+			peeled++
+			k.aliveA[a] = false
+			k.alivePostB[q] = false
 		}
-		e := int32(d) / 2
-		a := e / 2
-		q := k.edgePost(e)
-		k.m.PostOf[a] = q
-		k.m.ApplicantOf[q] = a
-		k.peeled.Add(1)
-		k.aliveA[a] = false
-		k.alivePostB[q] = false
-	}
-	k.fnCountAliveA = func(a int) {
-		if k.aliveA[a] {
-			k.aliveApps.Add(1)
+		if peeled != 0 {
+			k.peeled.Add(peeled)
 		}
 	}
-	k.fnCountAliveP = func(q int) {
-		if k.alivePostB[q] {
-			k.alivePosts.Add(1)
+	k.fnCountAliveAR = func(lo, hi int) {
+		c := int32(0)
+		for _, alive := range k.aliveA[lo:hi] {
+			if alive {
+				c++
+			}
+		}
+		if c != 0 {
+			k.aliveApps.Add(c)
+		}
+	}
+	k.fnCountAlivePR = func(lo, hi int) {
+		c := int32(0)
+		for _, alive := range k.alivePostB[lo:hi] {
+			if alive {
+				c++
+			}
+		}
+		if c != 0 {
+			k.alivePosts.Add(c)
 		}
 	}
 
@@ -434,26 +484,34 @@ func (k *kernel) init() {
 	}
 	// Edges whose forward dart sits at even distance from the canonical
 	// dart are matched (the "even distance from e" rule).
-	k.fnMatchCycles = func(di int) {
-		d := int32(di)
-		if k.dartDead[d] {
-			return
+	k.fnMatchCyclesR = func(lo, hi int) {
+		cycles, pairs := int32(0), int32(0)
+		for d := int32(lo); d < int32(hi); d++ {
+			if k.dartDead[d] {
+				continue
+			}
+			if k.canonical[d] {
+				cycles++
+			}
+			if !k.canonical[k.dPtr[d]] {
+				continue // reverse orientation: never reaches a canonical dart
+			}
+			if k.dVal[d]%2 != 0 {
+				continue
+			}
+			e := d / 2
+			a := e / 2
+			q := k.edgePost(e)
+			k.m.PostOf[a] = q
+			k.m.ApplicantOf[q] = a
+			pairs++
 		}
-		if k.canonical[d] {
-			k.cycleCnt.Add(1)
+		if cycles != 0 {
+			k.cycleCnt.Add(cycles)
 		}
-		if !k.canonical[k.dPtr[d]] {
-			return // reverse orientation: never reaches a canonical dart
+		if pairs != 0 {
+			k.pairs.Add(pairs)
 		}
-		if k.dVal[d]%2 != 0 {
-			return
-		}
-		e := d / 2
-		a := e / 2
-		q := k.edgePost(e)
-		k.m.PostOf[a] = q
-		k.m.ApplicantOf[q] = a
-		k.pairs.Add(1)
 	}
 
 	// --- Pointer doubling (the paper's doubling trick, double-buffered) ---
@@ -504,28 +562,33 @@ func (k *kernel) init() {
 	}
 
 	// --- Algorithm 1 lines 5-7: promotion ---
-	k.fnPromote = func(qi int) {
-		q := int32(qi)
-		if !k.red.IsF[q] || k.m.ApplicantOf[q] >= 0 {
-			return
+	k.fnPromoteR = func(lo, hi int) {
+		promoted := int32(0)
+		for q := int32(lo); q < int32(hi); q++ {
+			if !k.red.IsF[q] || k.m.ApplicantOf[q] >= 0 {
+				continue
+			}
+			apps := k.red.FInv(q)
+			if len(apps) == 0 {
+				k.bad.Store(1)
+				continue
+			}
+			a := apps[0]
+			old := k.m.PostOf[a]
+			if old != k.red.S[a] {
+				// Theorem 1(ii): a must currently hold s(a) since f(a)=q is
+				// unmatched.
+				k.bad.Store(2)
+				continue
+			}
+			k.m.ApplicantOf[old] = -1
+			k.m.PostOf[a] = q
+			k.m.ApplicantOf[q] = a
+			promoted++
 		}
-		apps := k.red.FInv(q)
-		if len(apps) == 0 {
-			k.bad.Store(1)
-			return
+		if promoted != 0 {
+			k.promotions.Add(promoted)
 		}
-		a := apps[0]
-		old := k.m.PostOf[a]
-		if old != k.red.S[a] {
-			// Theorem 1(ii): a must currently hold s(a) since f(a)=q is
-			// unmatched.
-			k.bad.Store(2)
-			return
-		}
-		k.m.ApplicantOf[old] = -1
-		k.m.PostOf[a] = q
-		k.m.ApplicantOf[q] = a
-		k.promotions.Add(1)
 	}
 }
 
@@ -666,13 +729,11 @@ func (k *kernel) buildReduced() {
 	// f⁻¹ as CSR: count, scan, scatter, sort buckets.
 	cx.ForGrain(n1, k.grainA, k.fnCountF)
 	cx.Round(n1)
-	cx.ForGrain(total, k.grainP, k.fnLoadCnt)
+	cx.Range(total, k.grainP, k.fnLoadCntR)
 	cx.Round(total)
 	k.scanSrc, k.scanOut = k.cnt32, k.red.FInvStart
 	totalApps := k.exclusiveScan32(total)
 	k.red.FInvStart[total] = totalApps
-	cx.ForGrain(total, k.grainP, k.fnZeroCnt)
-	cx.Round(total)
 	cx.ForGrain(n1, k.grainA, k.fnScatterF)
 	cx.Round(n1)
 	cx.ForGrain(total, k.grainP, k.fnSortBuckets)
@@ -704,7 +765,6 @@ func (k *kernel) releaseReduced(cx *exec.Ctx) {
 func (k *kernel) acquireB() {
 	cx := k.cx
 	total, nDarts := k.total, k.nDarts
-	k.isFBits = cx.Uint32s(total)
 	k.postCnt = cx.AtomicInt32s(total)
 	k.cnt32 = cx.Int32s(total)
 	k.postAdjStart = cx.Int32s(total + 1)
@@ -726,7 +786,6 @@ func (k *kernel) acquireB() {
 
 func (k *kernel) releaseB() {
 	cx := k.cx
-	cx.PutUint32s(k.isFBits)
 	cx.PutAtomicInt32s(k.postCnt)
 	cx.PutInt32s(k.cnt32)
 	cx.PutInt32s(k.postAdjStart)
@@ -744,7 +803,7 @@ func (k *kernel) releaseB() {
 	cx.PutInt32s(k.dVal)
 	cx.PutInt32s(k.dNxtPtr)
 	cx.PutInt32s(k.dNxtVal)
-	k.isFBits, k.postCnt, k.cnt32 = nil, nil, nil
+	k.postCnt, k.cnt32 = nil, nil
 	k.postAdjStart, k.postAdjEdges = nil, nil
 	k.aliveA, k.alivePostB, k.deg = nil, nil, nil
 	k.succ, k.dartDead, k.matchedDart, k.active, k.canonical = nil, nil, nil, nil, nil
@@ -766,32 +825,31 @@ func (k *kernel) applicantComplete(m *onesided.Matching) (ok bool, err error) {
 	k.acquireB()
 	defer k.releaseB()
 
-	// Static post adjacency (CSR over edge ids) and initial aliveness.
-	cx.ForGrain(n1, k.grainA, k.fnInitAlive)
-	cx.Round(n1)
-	cx.ForGrain(total, k.grainP, k.fnLoadAlive)
-	cx.Round(total)
+	// Static post adjacency (CSR over edge ids), initial aliveness and the
+	// first peel iteration's degrees.
 	cx.ForGrain(n1, k.grainA, k.fnCountAdj)
 	cx.Round(n1)
-	cx.ForGrain(total, k.grainP, k.fnLoadCnt)
+	k.deg1Count.Store(0)
+	cx.Range(total, k.grainP, k.fnLoadAdjR)
 	cx.Round(total)
 	k.scanSrc, k.scanOut = k.cnt32, k.postAdjStart
 	totalAdj := k.exclusiveScan32(total)
 	k.postAdjStart[total] = totalAdj
-	cx.ForGrain(total, k.grainP, k.fnZeroCnt)
-	cx.Round(total)
 	cx.ForGrain(n1, k.grainA, k.fnScatterAdj)
 	cx.Round(n1)
 
-	for {
-		// --- degrees over alive edges ---
-		cx.ForGrain(total, k.grainP, k.fnZeroCnt)
-		cx.Round(total)
-		cx.ForGrain(nEdges, k.grainD, k.fnCountDeg)
-		cx.Round(nEdges)
-		k.deg1Count.Store(0)
-		cx.ForGrain(total, k.grainP, k.fnLoadDeg)
-		cx.Round(total)
+	for first := true; ; first = false {
+		// --- degrees over alive edges (the first iteration's were loaded
+		// with the adjacency) ---
+		if !first {
+			cx.Range(total, k.grainP, k.fnZeroCntR)
+			cx.Round(total)
+			cx.ForGrain(nEdges, k.grainD, k.fnCountDeg)
+			cx.Round(nEdges)
+			k.deg1Count.Store(0)
+			cx.Range(total, k.grainP, k.fnLoadDegR)
+			cx.Round(total)
+		}
 		if k.deg1Count.Load() == 0 {
 			break
 		}
@@ -821,7 +879,7 @@ func (k *kernel) applicantComplete(m *onesided.Matching) (ok bool, err error) {
 
 		// --- fused: apply matches + delete matched vertices ---
 		k.peeled.Store(0)
-		cx.ForGrain(nDarts, k.grainD, k.fnApplyDelete)
+		cx.Range(nDarts, k.grainD, k.fnApplyDeleteR)
 		cx.Round(nDarts)
 		k.stats.PeeledPairs += int(k.peeled.Load())
 	}
@@ -829,9 +887,9 @@ func (k *kernel) applicantComplete(m *onesided.Matching) (ok bool, err error) {
 	// --- residual check: Hall condition by counting (§III-B-1) ---
 	k.aliveApps.Store(0)
 	k.alivePosts.Store(0)
-	cx.ForGrain(n1, k.grainA, k.fnCountAliveA)
+	cx.Range(n1, k.grainA, k.fnCountAliveAR)
 	cx.Round(n1)
-	cx.ForGrain(total, k.grainP, k.fnCountAliveP)
+	cx.Range(total, k.grainP, k.fnCountAlivePR)
 	cx.Round(total)
 	aliveApplicants := int(k.aliveApps.Load())
 	if int(k.alivePosts.Load()) < aliveApplicants {
@@ -855,7 +913,7 @@ func (k *kernel) applicantComplete(m *onesided.Matching) (ok bool, err error) {
 	k.doubleRounds(nDarts, dblRounds, k.fnDoubleSumR)
 	k.pairs.Store(0)
 	k.cycleCnt.Store(0)
-	cx.ForGrain(nDarts, k.grainD, k.fnMatchCycles)
+	cx.Range(nDarts, k.grainD, k.fnMatchCyclesR)
 	cx.Round(nDarts)
 	k.stats.CyclePairs = int(k.pairs.Load())
 	k.stats.CycleCount = int(k.cycleCnt.Load())
@@ -868,7 +926,7 @@ func (k *kernel) promote(m *onesided.Matching) (int, error) {
 	k.m = m
 	k.bad.Store(0)
 	k.promotions.Store(0)
-	k.cx.ForGrain(k.total, k.grainP, k.fnPromote)
+	k.cx.Range(k.total, k.grainP, k.fnPromoteR)
 	k.cx.Round(k.total)
 	switch k.bad.Load() {
 	case 1:

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/onesided"
-	"repro/internal/par"
 	"repro/internal/pseudoforest"
 )
 
@@ -78,12 +77,10 @@ func optimizeSwitches[T any](sw *Switching, edgeW []T, ops weightOps[T], opt Opt
 		return stats
 	}
 
-	// Weighted lifting over the switching graph for O(log n) path sums.
-	lift, sums := buildWeightedLift(cx, sw.Graph, edgeW, ops)
-
 	// Margins of every switching path: for each s-post vertex q in a tree
 	// component (other than the sink), the sum of edge weights along
-	// q -> sink.
+	// q -> sink, read off the analysis' cut ladder.
+	sums := pathSums(cx, an, edgeW, ops)
 	margin := ops.newSlice(cx, nv)
 	isCandidate := cx.Bools(nv)
 	cx.For(nv, func(v int) {
@@ -92,53 +89,50 @@ func optimizeSwitches[T any](sw *Switching, edgeW []T, ops weightOps[T], opt Opt
 			return // cycle component, the sink itself, or an f-post
 		}
 		isCandidate[v] = true
-		margin[v] = pathSum(lift, sums, ops, v, d)
+		margin[v] = pathSum(an.Ladder.Up, sums, ops, v, d)
 	})
 	cx.Round(nv)
 
-	// Cycle margins per component (sequential fold; the parallel work was
-	// the lift).
-	cycleSum := make(map[int32]T)
+	// Fold per component into arrays indexed by its label (a vertex id):
+	// the cycle margin of each cycle component, and the best switching path
+	// of each tree component (max margin, ties to the smaller vertex id —
+	// deterministic). A sequential fold; the parallel work was the ladder.
+	cycleSum := ops.newSlice(cx, nv)
+	isCycle := cx.Bools(nv)
+	best := cx.Int32s(nv) // 1 + the best path's start vertex, 0 for none
 	for v := 0; v < nv; v++ {
-		if !an.OnCycle[v] {
-			continue
-		}
 		c := an.Comp[v]
-		acc, ok := cycleSum[c]
-		if !ok {
-			acc = ops.zero()
-		}
-		cycleSum[c] = ops.add(acc, edgeW[v])
-	}
-
-	// Best switching path per tree component (max margin, ties to the
-	// smaller vertex id — deterministic).
-	bestQ := make(map[int32]int)
-	for v := 0; v < nv; v++ {
-		if !isCandidate[v] {
-			continue
-		}
-		c := an.Comp[v]
-		cur, ok := bestQ[c]
-		if !ok || ops.cmp(margin[v], margin[cur]) > 0 {
-			bestQ[c] = v
+		switch {
+		case an.OnCycle[v] && isCycle[c]:
+			cycleSum[c] = ops.add(cycleSum[c], edgeW[v])
+		case an.OnCycle[v]:
+			isCycle[c] = true
+			cycleSum[c] = edgeW[v]
+		case isCandidate[v]:
+			if b := best[c]; b == 0 || ops.cmp(margin[v], margin[b-1]) > 0 {
+				best[c] = int32(v) + 1
+			}
 		}
 	}
-	stats.Components = len(cycleSum) + len(bestQ)
-
+	// Keep only the positive switches: isCycle and best now mark what to
+	// apply.
 	zero := ops.zero()
-	applyCycle := make(map[int32]bool)
-	for c, s := range cycleSum {
-		if ops.cmp(s, zero) > 0 {
-			applyCycle[c] = true
-			stats.CyclesApplied++
+	for c := 0; c < nv; c++ {
+		if isCycle[c] {
+			stats.Components++
+			if ops.cmp(cycleSum[c], zero) > 0 {
+				stats.CyclesApplied++
+			} else {
+				isCycle[c] = false
+			}
 		}
-	}
-	applyQ := make(map[int32]int)
-	for c, q := range bestQ {
-		if ops.cmp(margin[q], zero) > 0 {
-			applyQ[c] = q
-			stats.PathsApplied++
+		if b := best[c]; b != 0 {
+			stats.Components++
+			if ops.cmp(margin[b-1], zero) > 0 {
+				stats.PathsApplied++
+			} else {
+				best[c] = 0
+			}
 		}
 	}
 
@@ -148,73 +142,68 @@ func optimizeSwitches[T any](sw *Switching, edgeW []T, ops weightOps[T], opt Opt
 	cx.For(nv, func(v int) {
 		c := an.Comp[v]
 		if an.OnCycle[v] {
-			on[v] = applyCycle[c]
+			on[v] = isCycle[c]
 			return
 		}
-		q, ok := applyQ[c]
-		if !ok {
+		b := best[c]
+		if b == 0 {
 			return
 		}
+		q := int(b - 1)
 		dq, dv := an.DistToSink[q], an.DistToSink[v]
 		if dv < 0 || dv > dq {
 			return
 		}
-		on[v] = lift.Jump(q, dq-dv) == v
+		on[v] = an.Ladder.Jump(q, dq-dv) == v
 	})
 	cx.Round(nv)
 	sw.applySwitchVertices(on, opt)
 	cx.PutBools(on)
 	cx.PutBools(isCandidate)
+	cx.PutBools(isCycle)
+	cx.PutInt32s(best)
 	ops.putSlice(cx, margin)
-	for _, level := range sums {
+	ops.putSlice(cx, cycleSum)
+	for _, level := range sums[1:] {
 		ops.putSlice(cx, level)
 	}
 	return stats
 }
 
-// buildWeightedLift builds binary-lifting jump tables with per-level weight
-// sums for arbitrary weight types (the int64 case is
-// pseudoforest.BuildWeightedLift; this generic twin serves big.Int). Level
-// slices come from ops.newSlice; the caller releases them.
-func buildWeightedLift[T any](cx *exec.Ctx, g *pseudoforest.Graph, w []T, ops weightOps[T]) (*par.Lifting, [][]T) {
-	n := g.N()
-	abs := make([]int32, n)
-	for v, s := range g.Succ {
-		if s < 0 {
-			abs[v] = int32(v)
-		} else {
-			abs[v] = s
+// pathSums builds the weight-sum levels over the analysis' cut ladder:
+// sums[k][v] is the total weight of the 2^k edges leaving v (sink-absorbing
+// steps contribute zero, as a sink's w is zero). Level 0 is w itself. Only
+// tree components are filled: a switching path runs to its sink, and the
+// ladder is exact on such walks. The levels above 0 come from ops.newSlice;
+// the caller releases them.
+func pathSums[T any](cx *exec.Ctx, an *pseudoforest.Analysis, w []T, ops weightOps[T]) [][]T {
+	n := len(w)
+	up := an.Ladder.Up
+	sums := make([][]T, len(up))
+	sums[0] = w
+	k := 0
+	step := func(v int) {
+		if an.DistToSink[v] >= 0 {
+			prev := sums[k-1]
+			sums[k][v] = ops.add(prev[v], prev[up[k-1][v]])
 		}
 	}
-	lift := par.BuildLifting(cx, abs)
-	sums := make([][]T, lift.K)
-	level0 := ops.newSlice(cx, n)
-	cx.For(n, func(v int) {
-		if g.Succ[v] >= 0 {
-			level0[v] = w[v]
-		} else {
-			level0[v] = ops.zero()
-		}
-	})
-	cx.Round(n)
-	sums[0] = level0
-	for k := 1; k < lift.K; k++ {
-		prev := sums[k-1]
-		up := lift.Up[k-1]
-		cur := ops.newSlice(cx, n)
-		cx.For(n, func(v int) { cur[v] = ops.add(prev[v], prev[up[v]]) })
+	for k = 1; k < len(up); k++ {
+		sums[k] = ops.newSlice(cx, n)
+		cx.For(n, step)
 		cx.Round(n)
-		sums[k] = cur
 	}
-	return lift, sums
+	return sums
 }
 
-func pathSum[T any](lift *par.Lifting, sums [][]T, ops weightOps[T], v, steps int) T {
+// pathSum returns the total weight of the `steps` edges leaving v, for a
+// walk that ends at or before v's sink.
+func pathSum[T any](up [][]int32, sums [][]T, ops weightOps[T], v, steps int) T {
 	total := ops.zero()
-	for k := 0; k < lift.K && steps > 0; k++ {
+	for k := 0; k < len(up) && steps > 0; k++ {
 		if steps&(1<<k) != 0 {
 			total = ops.add(total, sums[k][v])
-			v = int(lift.Up[k][v])
+			v = int(up[k][v])
 			steps &^= 1 << k
 		}
 	}
@@ -314,40 +303,29 @@ func CountPopular(ins *onesided.Instance, opt Options) (count *big.Int, err erro
 	if err != nil {
 		return nil, err
 	}
+	defer sw.release(opt.exec())
+	// Per component label (a vertex id): a tree component's switching paths,
+	// one per s-post other than its sink. A cycle component holds exactly
+	// one cycle (Lemma 4), so it is visited once, by its label.
 	an := sw.Analysis
-	options := map[int32]int64{}
+	paths := make([]int64, len(sw.Posts))
 	for v := range sw.Posts {
-		c := an.Comp[v]
-		if _, ok := options[c]; !ok {
-			options[c] = 1
-		}
-		if an.OnCycle[v] && sw.Graph.Succ[v] >= 0 {
-			// Count each cycle once: attribute it to its smallest vertex.
-			if int32(v) == cycleLeader(an, sw.Graph, v) {
-				options[c]++
-			}
-			continue
-		}
 		if an.DistToSink[v] > 0 && sw.IsSPostVertex(v) {
-			options[c]++
+			paths[an.Comp[v]]++
 		}
 	}
 	total := big.NewInt(1)
-	for _, k := range options {
-		total.Mul(total, big.NewInt(k))
-	}
-	return total, nil
-}
-
-// cycleLeader returns the smallest on-cycle vertex of v's cycle.
-func cycleLeader(an *pseudoforest.Analysis, g *pseudoforest.Graph, v int) int32 {
-	leader := int32(v)
-	for u := g.Succ[v]; u != int32(v); u = g.Succ[u] {
-		if u < leader {
-			leader = u
+	var choices big.Int
+	for v := range sw.Posts {
+		switch {
+		case an.Comp[v] != int32(v):
+		case an.Sink[v] < 0:
+			total.Lsh(total, 1) // switch the cycle or not
+		default:
+			total.Mul(total, choices.SetInt64(paths[v]+1)) // no switch, or one path
 		}
 	}
-	return leader
+	return total, nil
 }
 
 // EnumerateAllPopular yields every popular matching of the instance exactly
@@ -370,6 +348,7 @@ func EnumerateAllPopular(ins *onesided.Instance, opt Options, yield func(*onesid
 	if err != nil {
 		return false, err
 	}
+	defer sw.release(opt.exec())
 	an := sw.Analysis
 	nv := len(sw.Posts)
 

@@ -71,20 +71,56 @@ func (r *Reduced) FInv(q int32) []int32 {
 	return r.FInvApps[r.FInvStart[q]:r.FInvStart[q+1]]
 }
 
-// PostsInG returns the post ids that occur in G′ (as some F[a] or S[a]).
-func (r *Reduced) PostsInG(opt Options) []int32 {
-	cx := opt.exec()
+// postsInG returns, from cx's arena, the post ids that occur in G′ (as some
+// F[a] or S[a]) in increasing order, and their inverse over every post id
+// (-1 for a post outside G′). The f-posts are IsF already, so one round
+// marks the s-posts (a same-value concurrent write, stored only by a writer
+// that finds the mark unset); a per-chunk count, a scan of the chunk counts
+// and a scatter then compact them.
+func (r *Reduced) postsInG(cx *exec.Ctx) (posts, vertexOf []int32) {
 	total := r.Ins.TotalPosts()
-	used := cx.Uint32s(total)
-	defer cx.PutUint32s(used)
-	cx.For(len(r.F), func(a int) {
-		atomic.StoreUint32(&used[r.F[a]], 1)
-		atomic.StoreUint32(&used[r.S[a]], 1)
+	sUsed := cx.Uint32s(total)
+	defer cx.PutUint32s(sUsed)
+	cx.For(len(r.S), func(a int) {
+		if p := &sUsed[r.S[a]]; atomic.LoadUint32(p) == 0 {
+			atomic.StoreUint32(p, 1)
+		}
 	})
-	cx.Round(len(r.F))
-	idx := par.Compact(cx, total, func(q int) bool { return used[q] == 1 })
-	out := make([]int32, len(idx))
-	cx.For(len(idx), func(i int) { out[i] = int32(idx[i]) })
-	cx.Round(len(idx))
-	return out
+	cx.Round(len(r.S))
+
+	grain := par.Grain(total, cx.Workers())
+	block := cx.Int32s((total + grain - 1) / grain)
+	defer cx.PutInt32s(block)
+	cx.Range(total, grain, func(lo, hi int) {
+		c := int32(0)
+		for q := lo; q < hi; q++ {
+			if r.IsF[q] || sUsed[q] != 0 {
+				c++
+			}
+		}
+		block[lo/grain] = c
+	})
+	cx.Round(total)
+	nv := int32(0)
+	for b, c := range block {
+		block[b] = nv
+		nv += c
+	}
+	cx.Round(len(block))
+	posts = cx.Int32s(int(nv))
+	vertexOf = cx.Int32s(total)
+	cx.Range(total, grain, func(lo, hi int) {
+		v := block[lo/grain]
+		for q := lo; q < hi; q++ {
+			if r.IsF[q] || sUsed[q] != 0 {
+				posts[v] = int32(q)
+				vertexOf[q] = v
+				v++
+			} else {
+				vertexOf[q] = -1
+			}
+		}
+	})
+	cx.Round(total)
+	return posts, vertexOf
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"repro/internal/exec"
 	"repro/internal/onesided"
 	"repro/internal/pseudoforest"
 )
@@ -36,22 +37,15 @@ func (sw *Switching) OM(a int32) int32 {
 }
 
 // BuildSwitching constructs G_M and its pseudoforest decomposition in
-// parallel. m must be a popular matching of r's instance.
+// parallel. m must be a popular matching of r's instance. The vertex arrays
+// come from the execution context's arena; release returns them.
 func BuildSwitching(r *Reduced, m *onesided.Matching, opt Options) (*Switching, error) {
 	cx := opt.exec()
-	total := r.Ins.TotalPosts()
-
 	sw := &Switching{R: r, M: m}
-	sw.Posts = r.PostsInG(opt)
+	sw.Posts, sw.VertexOf = r.postsInG(cx)
 	nv := len(sw.Posts)
-	sw.VertexOf = make([]int32, total)
-	cx.For(total, func(q int) { sw.VertexOf[q] = -1 })
-	cx.Round(total)
-	cx.For(nv, func(v int) { sw.VertexOf[sw.Posts[v]] = int32(v) })
-	cx.Round(nv)
-
-	succ := make([]int32, nv)
-	sw.EdgeApplicant = make([]int32, nv)
+	succ := cx.Int32s(nv)
+	sw.EdgeApplicant = cx.Int32s(nv)
 	var bad atomic.Int32
 	cx.For(nv, func(v int) {
 		q := sw.Posts[v]
@@ -82,26 +76,14 @@ func BuildSwitching(r *Reduced, m *onesided.Matching, opt Options) (*Switching, 
 	return sw, nil
 }
 
-// SinkCount returns the number of sink vertices (unmatched posts).
-func (sw *Switching) SinkCount() int {
-	n := 0
-	for _, a := range sw.EdgeApplicant {
-		if a < 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// CycleComponentCount returns the number of components containing a cycle.
-func (sw *Switching) CycleComponentCount() int {
-	seen := map[int32]bool{}
-	for v := range sw.Posts {
-		if sw.Analysis.OnCycle[v] {
-			seen[sw.Analysis.Comp[v]] = true
-		}
-	}
-	return len(seen)
+// release returns the switching graph's arrays and its analysis to cx's
+// arena; sw must not be used afterwards.
+func (sw *Switching) release(cx *exec.Ctx) {
+	sw.Analysis.Release(cx)
+	cx.PutInt32s(sw.Posts)
+	cx.PutInt32s(sw.VertexOf)
+	cx.PutInt32s(sw.EdgeApplicant)
+	cx.PutInt32s(sw.Graph.Succ)
 }
 
 // IsSPostVertex reports whether vertex v is an s-post (including last

@@ -5,7 +5,10 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/onesided"
+	"repro/internal/par"
+	"repro/internal/pseudoforest"
 	"repro/internal/seq"
 )
 
@@ -141,6 +144,68 @@ func TestLemma4SwitchingGraphStructure(t *testing.T) {
 		for c, ci := range info {
 			if ci.sinks+ci.cycles != 1 {
 				t.Fatalf("component %d has %d sinks and %d cycles", c, ci.sinks, ci.cycles)
+			}
+		}
+	}
+}
+
+// TestSwitchPathSumsMatchWalk checks the path weight sums §IV reads off the
+// analysis' cut ladder (pathSums, pathSum, Ladder.Jump) against a
+// brute-force walk, for every walk the ladder promises: from a tree
+// component's vertex up to its sink. Cycle components ride along, since
+// pathSums skips them.
+func TestSwitchPathSumsMatchWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for _, p := range []*par.Pool{par.Sequential(), par.NewPool(4)} {
+		cx := exec.New(exec.Config{Pool: p})
+		for trial := 0; trial < 20; trial++ {
+			n := 2 + rng.Intn(3000)
+			// Sinks, long chains and random jumps (which also close cycles).
+			succ := make([]int32, n)
+			for v := range succ {
+				switch r := rng.Float64(); {
+				case v == 0 || r < 0.05:
+					succ[v] = -1
+				case r < 0.6:
+					succ[v] = int32(v - 1)
+				default:
+					u := rng.Intn(n)
+					for u == v {
+						u = rng.Intn(n)
+					}
+					succ[v] = int32(u)
+				}
+			}
+			g, err := pseudoforest.New(succ)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := make([]int64, n)
+			for v := range w {
+				if succ[v] >= 0 {
+					w[v] = int64(rng.Intn(21) - 10)
+				}
+			}
+			an := pseudoforest.Analyze(cx, g)
+			sums := pathSums(cx, an, w, int64Ops)
+			for v := 0; v < n; v++ {
+				d := an.DistToSink[v]
+				if d < 0 {
+					continue
+				}
+				steps := rng.Intn(d + 1)
+				var want int64
+				u := v
+				for s := 0; s < steps; s++ {
+					want += w[u]
+					u = int(succ[u])
+				}
+				if got := pathSum(an.Ladder.Up, sums, int64Ops, v, steps); got != want {
+					t.Fatalf("workers=%d n=%d: pathSum(%d,%d) = %d, want %d", p.Workers(), n, v, steps, got, want)
+				}
+				if got := an.Ladder.Jump(v, steps); got != u {
+					t.Fatalf("workers=%d n=%d: Jump(%d,%d) = %d, want %d", p.Workers(), n, v, steps, got, u)
+				}
 			}
 		}
 	}

@@ -61,37 +61,12 @@ func Double[T any](x Runner, succ []int32, vals []T, combine func(a, b T) T, k i
 	return ptr, val
 }
 
-// DistanceToTerminal computes, for every vertex of the functional graph succ
-// (succ[v] == v terminal), the number of steps to reach a terminal, or -1 if
-// v lies on or leads into a cycle. It runs Iterations(n)+1 doubling rounds.
-func DistanceToTerminal(x Runner, succ []int32) []int {
-	n := len(succ)
-	vals := make([]int, n)
-	x.For(n, func(v int) {
-		if succ[v] != int32(v) {
-			vals[v] = 1
-		}
-	})
-	x.Round(n)
-	ptr, dist := Double(x, succ, vals, func(a, b int) int { return a + b }, Iterations(n)+1)
-	out := make([]int, n)
-	x.For(n, func(v int) {
-		if succ[ptr[v]] != ptr[v] {
-			// The final pointer is not a terminal, so the chain from v never
-			// terminates: v lies on or leads into a cycle.
-			out[v] = -1
-			return
-		}
-		out[v] = dist[v]
-	})
-	x.Round(n)
-	return out
-}
-
 // Lifting is a binary-lifting (sparse jump) table over a functional graph:
 // Up[k][v] is the vertex 2^k successor steps from v, with terminals
-// (succ[v] == v) absorbing. It supports O(log n) arbitrary-distance jumps and
-// is the workhorse for switching-path queries in §IV.
+// (succ[v] == v) absorbing. It supports exact O(log n) jumps of any length,
+// also around cycles. (The §IV switching-path queries need less and run on
+// pseudoforest.Ladder, which stops adding levels once they change nothing
+// those queries read.)
 type Lifting struct {
 	K  int
 	Up [][]int32

@@ -24,34 +24,6 @@ func TestIterations(t *testing.T) {
 	}
 }
 
-func TestDistanceToTerminalChain(t *testing.T) {
-	for _, p := range pools() {
-		for _, n := range []int{1, 2, 3, 17, 100, 1000} {
-			dist := DistanceToTerminal(p, chainSucc(n))
-			for v := 0; v < n; v++ {
-				if dist[v] != n-1-v {
-					t.Fatalf("workers=%d n=%d: dist[%d] = %d, want %d", p.Workers(), n, v, dist[v], n-1-v)
-				}
-			}
-		}
-	}
-}
-
-func TestDistanceToTerminalCycleFlagged(t *testing.T) {
-	p := NewPool(4)
-	// 0 -> 1 -> 2 -> 0 (cycle), 3 -> 0 (tail into cycle), 4 terminal.
-	succ := []int32{1, 2, 0, 0, 4}
-	dist := DistanceToTerminal(p, succ)
-	for v := 0; v <= 3; v++ {
-		if dist[v] != -1 {
-			t.Fatalf("dist[%d] = %d, want -1 (cycle)", v, dist[v])
-		}
-	}
-	if dist[4] != 0 {
-		t.Fatalf("dist[4] = %d, want 0", dist[4])
-	}
-}
-
 func TestDoubleSumAlongChain(t *testing.T) {
 	p := NewPool(4)
 	n := 50

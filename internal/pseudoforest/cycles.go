@@ -17,7 +17,8 @@ import (
 // CyclesByDoubling marks cycle vertices by pointer doubling: after jumping at
 // least n steps, the image of every component sweeps out exactly its cycle
 // (tree components land on their sink, which has no out-edge and is
-// excluded). This is the method Analyze uses internally.
+// excluded). Analyze reads the same image off its cut ladder, which stops
+// doubling as soon as the image stops shrinking.
 func CyclesByDoubling(x par.Runner, g *Graph) []bool {
 	n := g.N()
 	abs := g.absorbing()

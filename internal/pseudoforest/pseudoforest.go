@@ -16,16 +16,17 @@
 //     with one edge removed (Lemma 6 + Theorem 7 route),
 //  4. connected-components count with one edge removed (Theorem 8 route).
 //
-// It also provides the weighted machinery Algorithm 3 needs: distance to
-// sink, per-component cycle weight, and path weights to the sink via binary
-// lifting.
+// Analyze also provides what Algorithm 3 needs beyond the cycles: component
+// labels, the distance and the path to each tree component's sink, and the
+// cut lifting ladder those paths are read off (the switching phase reuses it
+// for its path weight sums).
 package pseudoforest
 
 import (
 	"fmt"
 	"sync/atomic"
 
-	"repro/internal/concomp"
+	"repro/internal/exec"
 	"repro/internal/par"
 )
 
@@ -78,7 +79,9 @@ func (g *Graph) UndirectedEdges() (edges [][2]int32, edgeSource []int32) {
 	return edges, edgeSource
 }
 
-// Analysis holds the full decomposition of a pseudoforest.
+// Analysis holds the full decomposition of a pseudoforest. Its arrays come
+// from the runner's arena when Analyze ran on an exec.Ctx with one; Release
+// returns them.
 type Analysis struct {
 	// Comp[v] is the component label: the minimum vertex id of v's weakly
 	// connected component.
@@ -91,66 +94,345 @@ type Analysis struct {
 	// DistToSink[v] is the number of Succ steps from v to the sink, or -1 in
 	// cycle components.
 	DistToSink []int
-	// Lift is the binary-lifting table over the (sink-absorbing) successor
-	// array, for O(log n) path queries.
-	Lift *par.Lifting
+	// Ladder is the cut lifting ladder the decomposition was read off; §IV
+	// reuses it for switching-path queries and path weight sums.
+	Ladder Ladder
 }
 
-// Analyze decomposes the pseudoforest using only pointer doubling and the
-// parallel connected-components primitive — the fully parallel (method 1)
-// route. All other cycle-finding methods are provided separately for
-// cross-validation.
+// Ladder is a binary-lifting ladder over the successor map with sinks
+// absorbing: Up[k][v] is the vertex 2^k steps from v. Analyze stops adding
+// levels at the first one whose image set (the set of pointer targets)
+// equals the previous level's, or once 2^k reaches the vertex count. The
+// image only ever shrinks, and it stops shrinking exactly when every pointer
+// sits on a sink or a cycle, so 2^(len(Up)-1) is at least every vertex's
+// distance to its sink or cycle entry: a graph of short paths gets a few
+// levels, a long path the full ceil(log2 n)+1.
+//
+// The ladder promises exact jumps only for walks that end at or before a
+// sink or a cycle entry, which is all the switching-path queries of §IV
+// ask. A jump further around a cycle may need levels the ladder does not
+// have; par.BuildLifting builds the full table for those.
+type Ladder struct {
+	Up [][]int32
+}
+
+// Jump returns the vertex `steps` successor hops from v, for a walk that
+// ends at or before a sink or a cycle entry.
+func (l *Ladder) Jump(v, steps int) int {
+	for k := 0; k < len(l.Up) && steps > 0; k++ {
+		if steps&(1<<k) != 0 {
+			v = int(l.Up[k][v])
+			steps &^= 1 << k
+		}
+	}
+	return v
+}
+
+// Analyze decomposes the pseudoforest with pointer doubling alone, the fully
+// parallel route (method 1 of §IV-A); the other cycle-finding methods are
+// provided separately for cross-validation. Everything is read off one cut
+// lifting ladder (see Ladder):
+//
+//   - the top level's image holds exactly the sinks and the cycle vertices,
+//     so OnCycle is that image minus the sinks;
+//   - one descent per vertex down the ladder finds its distance to the
+//     image and the image vertex it enters, which gives DistToSink and Sink;
+//   - a min-fold around each cycle elects the cycle's smallest vertex, and
+//     each vertex joins the group of its sink or its cycle's leader; Comp is
+//     the smallest vertex of each group (a concurrent min write).
+//
+// That is two rounds per ladder level, ceil(log2 L)+1 min-fold rounds for
+// the longest cycle L (the fold stops at its fixpoint, as the strict
+// kernel's does), and three more. Whether the ladder or the fold stops is a
+// global test, so the round count does not depend on the worker count.
 func Analyze(x par.Runner, g *Graph) *Analysis {
 	n := g.N()
+	ar := scratch(x)
 	a := &Analysis{
-		Comp:       make([]int32, n),
-		OnCycle:    make([]bool, n),
-		Sink:       make([]int32, n),
-		DistToSink: make([]int, n),
+		Comp:       ar.Int32s(n),
+		OnCycle:    ar.Bools(n),
+		Sink:       ar.Int32s(n),
+		DistToSink: ar.Ints(n),
 	}
 	if n == 0 {
 		return a
 	}
-	abs := g.absorbing()
-
-	// Components of the underlying undirected graph.
-	edges, _ := g.UndirectedEdges()
-	a.Comp = concomp.Parallel(x, n, edges)
-
-	// Distance to sink (-1 flags cycle components' vertices).
-	a.DistToSink = par.DistanceToTerminal(x, abs)
-
-	// Cycle membership: jump at least n steps from every vertex; the final
-	// pointers of a cycle component sweep out exactly its cycle, while tree
-	// components land on their sink. Mark the image, then remove sinks.
-	// The concurrent same-value marking is the arbitrary-CRCW write idiom,
-	// realized with atomic stores.
-	zeros := make([]int, n)
-	ptr, _ := par.Double(x, abs, zeros, func(a, b int) int { return 0 }, par.Iterations(n)+1)
-	hit := make([]uint32, n)
-	x.For(n, func(v int) { atomicStore1(&hit[ptr[v]]) })
-	x.Round(n)
-	x.For(n, func(v int) {
-		a.OnCycle[v] = hit[v] == 1 && g.Succ[v] >= 0
-	})
-	x.Round(n)
-
-	// Sinks: a sink is its own component's terminal; broadcast per component.
-	sinkOf := make([]int32, n)
-	for i := range sinkOf {
-		sinkOf[i] = -1
+	grain := par.Grain(n, x.Workers())
+	z := &analyzer{
+		x:     x,
+		succ:  g.Succ,
+		a:     a,
+		grain: grain,
+		hit:   ar.Uint32s(n),
+		chunk: ar.Int32s((n + grain - 1) / grain),
+		val:   ar.Int32s(n),
+		nval:  ar.Int32s(n),
+		ptr:   ar.Int32s(n),
+		nptr:  ar.Int32s(n),
+		minOf: ar.Int32s(n),
 	}
-	x.For(n, func(v int) {
-		if g.Succ[v] < 0 {
-			sinkOf[a.Comp[v]] = int32(v) // unique sink per component (Lemma 4)
-		}
-	})
-	x.Round(n)
-	x.For(n, func(v int) { a.Sink[v] = sinkOf[a.Comp[v]] })
-	x.Round(n)
-
-	a.Lift = par.BuildLifting(x, abs)
+	z.body = z.run
+	z.ladder(ar)
+	z.cycles()
+	z.labels()
+	ar.PutUint32s(z.hit)
+	ar.PutInt32s(z.chunk)
+	for _, s := range [][]int32{z.val, z.nval, z.ptr, z.nptr, z.minOf} {
+		ar.PutInt32s(s)
+	}
 	return a
+}
+
+// Release returns the analysis' arrays, ladder included, to the arena of
+// x, the runner Analyze ran on; the analysis must not be used afterwards.
+func (a *Analysis) Release(x par.Runner) {
+	ar := scratch(x)
+	ar.PutInt32s(a.Comp)
+	ar.PutBools(a.OnCycle)
+	ar.PutInt32s(a.Sink)
+	ar.PutInts(a.DistToSink)
+	for _, lv := range a.Ladder.Up {
+		ar.PutInt32s(lv)
+	}
+	*a = Analysis{}
+}
+
+// scratch returns the execution context whose arena Analyze draws from:
+// the runner itself when it is one, else an arena-less context whose
+// accessors fall back to make. It only allocates; loops run on the runner.
+func scratch(x par.Runner) *exec.Ctx {
+	if cx, ok := x.(*exec.Ctx); ok {
+		return cx
+	}
+	return exec.Background()
+}
+
+// analyzer carries Analyze's state between its rounds. Every round is a
+// chunk (Range) round of one bound body that runs the round's step, so the
+// rounds allocate nothing; the per-chunk slot chunk[lo/grain] collects a
+// count or a change flag without a shared atomic counter.
+type analyzer struct {
+	x     par.Runner
+	succ  []int32
+	a     *Analysis
+	grain int
+	body  func(lo, hi int) // z.run
+	step  func(z *analyzer, lo, hi int)
+
+	// hit[x] is 1+k for the last ladder level k whose image holds x; top is
+	// the stamp of the level whose image is the sinks and cycle vertices.
+	hit   []uint32
+	stamp uint32
+	top   uint32
+	chunk []int32
+	prev  []int32 // the level being doubled
+	cur   []int32 // the level being built
+	val   []int32 // cycle leader min-fold: smallest vertex seen so far
+	nval  []int32
+	ptr   []int32 // min-fold pointers; after the fold, each vertex's group
+	nptr  []int32
+	minOf []int32 // smallest vertex of each group, by group id
+}
+
+// round runs step over every vertex as one parallel round of `work` ops.
+func (z *analyzer) round(step func(z *analyzer, lo, hi int), work int) {
+	z.step = step
+	z.x.Range(len(z.succ), z.grain, z.body)
+	z.x.Round(work)
+}
+
+func (z *analyzer) run(lo, hi int) { z.step(z, lo, hi) }
+
+// ladder builds the cut lifting ladder into a.Ladder.
+func (z *analyzer) ladder(ar *exec.Ctx) {
+	n := len(z.succ)
+	maxK := par.Iterations(n)
+	z.cur, z.stamp = ar.Int32s(n), 1
+	z.round((*analyzer).level0, n)
+	up := make([][]int32, 1, maxK+1)
+	up[0] = z.cur
+	size := n // the image of the identity, "level -1"
+	// Without an earlier cut, level maxK (2^maxK >= n steps) has every
+	// pointer on a sink or a cycle.
+	z.top = uint32(maxK + 1)
+	for k := 0; k < maxK; k++ {
+		img := z.image()
+		if img == size {
+			// S_k = S_(k-1): every pointer already sat on a sink or a
+			// cycle one level down, so level k adds nothing a query
+			// within the ladder's promise reads.
+			z.top = z.stamp
+			if k > 0 {
+				ar.PutInt32s(up[k])
+				up = up[:k]
+			}
+			break
+		}
+		size = img
+		z.prev, z.cur, z.stamp = z.cur, ar.Int32s(n), z.stamp+1
+		z.round((*analyzer).double, n)
+		up = append(up, z.cur)
+	}
+	z.a.Ladder.Up = up
+	z.prev, z.cur = nil, nil
+}
+
+// mark adds vertex v to the current level's image: a same-value concurrent
+// write, stored only by a writer that finds it unset.
+func (z *analyzer) mark(v int32) {
+	if atomic.LoadUint32(&z.hit[v]) != z.stamp {
+		atomic.StoreUint32(&z.hit[v], z.stamp)
+	}
+}
+
+func (z *analyzer) level0(lo, hi int) {
+	for v := lo; v < hi; v++ {
+		s := z.succ[v]
+		if s < 0 {
+			s = int32(v)
+		}
+		z.cur[v] = s
+		z.mark(s)
+	}
+}
+
+func (z *analyzer) double(lo, hi int) {
+	for v := lo; v < hi; v++ {
+		s := z.prev[z.prev[v]]
+		z.cur[v] = s
+		z.mark(s)
+	}
+}
+
+// image returns the size of the current level's image.
+func (z *analyzer) image() int {
+	// A sequential pool runs the whole range as chunk 0; clear the other
+	// slots so an earlier round's counts never leak in.
+	clear(z.chunk)
+	z.round((*analyzer).countImage, len(z.succ))
+	total := 0
+	for _, c := range z.chunk {
+		total += int(c)
+	}
+	return total
+}
+
+func (z *analyzer) countImage(lo, hi int) {
+	c := int32(0)
+	for v := lo; v < hi; v++ {
+		if z.hit[v] == z.stamp {
+			c++
+		}
+	}
+	z.chunk[lo/z.grain] = c
+}
+
+// cycles marks the cycle vertices (the top image minus the sinks) and elects
+// each cycle's leader, its smallest vertex, into val by a min-fold doubling
+// around the cycle that stops once no value changes: then val[ptr[v]] >=
+// val[v] everywhere, which every further round preserves, so the frozen
+// values are the full fold's.
+func (z *analyzer) cycles() {
+	n := len(z.succ)
+	z.round((*analyzer).seedCycles, n)
+	for i := 0; i <= par.Iterations(n); i++ {
+		clear(z.chunk)
+		z.round((*analyzer).foldMin, n)
+		z.val, z.nval = z.nval, z.val
+		z.ptr, z.nptr = z.nptr, z.ptr
+		fixed := true
+		for _, c := range z.chunk {
+			if c != 0 {
+				fixed = false
+				break
+			}
+		}
+		if fixed {
+			return
+		}
+	}
+}
+
+func (z *analyzer) seedCycles(lo, hi int) {
+	for v := lo; v < hi; v++ {
+		on := z.hit[v] == z.top && z.succ[v] >= 0
+		z.a.OnCycle[v] = on
+		z.val[v] = int32(v)
+		z.ptr[v] = int32(v)
+		if on {
+			z.ptr[v] = z.succ[v]
+		}
+		z.minOf[v] = int32(v)
+	}
+}
+
+func (z *analyzer) foldMin(lo, hi int) {
+	changed := false
+	for v := lo; v < hi; v++ {
+		p := z.ptr[v]
+		m := z.val[v]
+		if w := z.val[p]; w < m {
+			m = w
+			changed = true
+		}
+		z.nval[v] = m
+		z.nptr[v] = z.ptr[p]
+	}
+	if changed {
+		z.chunk[lo/z.grain] = 1
+	}
+}
+
+// labels runs the per-vertex descent (distance and sink) and the component
+// labels.
+func (z *analyzer) labels() {
+	n := len(z.succ)
+	z.round((*analyzer).descend, n*len(z.a.Ladder.Up))
+	z.round((*analyzer).label, n)
+}
+
+// descend walks v down the ladder to the last vertex outside the top image
+// (membership is monotone along a walk: sinks absorb and cycles are closed),
+// one step past which lies v's sink or its cycle entry. It records
+// DistToSink and Sink, puts v in the group of its sink or its cycle's
+// leader, and lowers that group's minimum to v.
+func (z *analyzer) descend(lo, hi int) {
+	up := z.a.Ladder.Up
+	for v := lo; v < hi; v++ {
+		u, d := int32(v), 0
+		if z.hit[u] != z.top {
+			for k := len(up) - 1; k >= 0; k-- {
+				if w := up[k][u]; z.hit[w] != z.top {
+					u = w
+					d += 1 << k
+				}
+			}
+			u = up[0][u]
+			d++
+		}
+		group := u
+		if z.succ[u] < 0 {
+			z.a.Sink[v] = u
+			z.a.DistToSink[v] = d
+		} else {
+			z.a.Sink[v] = -1
+			z.a.DistToSink[v] = -1
+			group = z.val[u]
+		}
+		z.ptr[v] = group
+		for {
+			m := atomic.LoadInt32(&z.minOf[group])
+			if m <= int32(v) || atomic.CompareAndSwapInt32(&z.minOf[group], m, int32(v)) {
+				break
+			}
+		}
+	}
+}
+
+func (z *analyzer) label(lo, hi int) {
+	for v := lo; v < hi; v++ {
+		z.a.Comp[v] = z.minOf[z.ptr[v]]
+	}
 }
 
 // CycleVertices groups the on-cycle vertices by component label. The order
@@ -177,59 +459,6 @@ func (a *Analysis) CycleVertices(g *Graph) map[int32][]int32 {
 	}
 	return out
 }
-
-// PathSum returns the sum of the edge weights w[v] (the weight of edge
-// v -> Succ[v]) along the `steps`-edge path starting at v, using the lifting
-// tables for O(log n) time. Callers must ensure the path stays inside the
-// graph (sinks absorb with weight 0).
-type WeightedLift struct {
-	lift *par.Lifting
-	sum  [][]int64
-}
-
-// BuildWeightedLift augments a lifting table with per-level weight sums:
-// sum[k][v] is the total weight of the 2^k edges leaving v (sink-absorbing
-// steps contribute 0).
-func BuildWeightedLift(x par.Runner, g *Graph, w []int64) *WeightedLift {
-	n := g.N()
-	abs := g.absorbing()
-	lift := par.BuildLifting(x, abs)
-	sums := make([][]int64, lift.K)
-	level0 := make([]int64, n)
-	x.For(n, func(v int) {
-		if g.Succ[v] >= 0 {
-			level0[v] = w[v]
-		}
-	})
-	x.Round(n)
-	sums[0] = level0
-	for k := 1; k < lift.K; k++ {
-		prev := sums[k-1]
-		up := lift.Up[k-1]
-		cur := make([]int64, n)
-		x.For(n, func(v int) { cur[v] = prev[v] + prev[up[v]] })
-		x.Round(n)
-		sums[k] = cur
-	}
-	return &WeightedLift{lift: lift, sum: sums}
-}
-
-// PathSum returns the total weight of the first `steps` edges on the path
-// from v (absorbing at sinks).
-func (wl *WeightedLift) PathSum(v, steps int) int64 {
-	var total int64
-	for k := 0; k < wl.lift.K && steps > 0; k++ {
-		if steps&(1<<k) != 0 {
-			total += wl.sum[k][v]
-			v = int(wl.lift.Up[k][v])
-			steps &^= 1 << k
-		}
-	}
-	return total
-}
-
-// Jump exposes the underlying lifting jump.
-func (wl *WeightedLift) Jump(v, steps int) int { return wl.lift.Jump(v, steps) }
 
 // atomicStore1 is the arbitrary-CRCW "any writer wins" idiom: all writers
 // store the same value, realized with an atomic store to stay race-free.

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/concomp"
 	"repro/internal/par"
 )
 
@@ -225,43 +226,99 @@ func TestCycleVerticesOrder(t *testing.T) {
 	}
 }
 
-func TestWeightedLiftPathSum(t *testing.T) {
+func TestAnalyzeDistToSinkChain(t *testing.T) {
+	for _, p := range []*par.Pool{par.Sequential(), par.NewPool(4)} {
+		for _, n := range []int{1, 2, 3, 17, 100, 1000, 5000} {
+			// A path v -> v+1 -> ... -> n-1 (sink).
+			succ := make([]int32, n)
+			for v := 0; v < n-1; v++ {
+				succ[v] = int32(v + 1)
+			}
+			succ[n-1] = -1
+			g, _ := New(succ)
+			dist := Analyze(p, g).DistToSink
+			for v := 0; v < n; v++ {
+				if dist[v] != n-1-v {
+					t.Fatalf("workers=%d n=%d: dist[%d] = %d, want %d", p.Workers(), n, v, dist[v], n-1-v)
+				}
+			}
+		}
+	}
+}
+
+func TestAnalyzeDistToSinkCycleFlagged(t *testing.T) {
 	p := par.NewPool(4)
-	rng := rand.New(rand.NewSource(44))
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.Intn(200)
-		// In-tree toward sink 0 so all paths terminate.
-		succ := make([]int32, n)
-		succ[0] = -1
-		for v := 1; v < n; v++ {
-			succ[v] = int32(rng.Intn(v))
+	// 0 -> 1 -> 2 -> 0 (cycle), 3 -> 0 (tail into cycle), 4 sink.
+	g, _ := New([]int32{1, 2, 0, 0, -1})
+	dist := Analyze(p, g).DistToSink
+	for v := 0; v <= 3; v++ {
+		if dist[v] != -1 {
+			t.Fatalf("dist[%d] = %d, want -1 (cycle)", v, dist[v])
 		}
-		g, _ := New(succ)
-		w := make([]int64, n)
-		for v := range w {
-			w[v] = int64(rng.Intn(21) - 10)
+	}
+	if dist[4] != 0 {
+		t.Fatalf("dist[4] = %d, want 0", dist[4])
+	}
+}
+
+// TestAnalyzeLadderCut checks what Analyze reads off its cut ladder: the
+// component labels are the minimum vertex ids (against the sequential BFS),
+// the ladder is deep enough for every vertex's walk to its sink or cycle
+// entry yet never deeper than ceil(log2 n)+1 levels, and Jump is exact
+// within that promise.
+func TestAnalyzeLadderCut(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	for _, p := range []*par.Pool{par.Sequential(), par.NewPool(4)} {
+		for trial := 0; trial < 20; trial++ {
+			n := 1 + rng.Intn(3000)
+			g := randomFunctional(rng, n)
+			a := Analyze(p, g)
+			edges, _ := g.UndirectedEdges()
+			want := concomp.BFS(n, edges)
+			onCycle := refOnCycle(g.Succ)
+			maxDepth := 0
+			for v := 0; v < n; v++ {
+				if a.Comp[v] != want[v] {
+					t.Fatalf("workers=%d n=%d: Comp[%d] = %d, want %d", p.Workers(), n, v, a.Comp[v], want[v])
+				}
+				// The walk to the sink or the cycle entry.
+				depth, u := 0, v
+				for g.Succ[u] >= 0 && !onCycle[u] {
+					u = int(g.Succ[u])
+					depth++
+				}
+				if depth > maxDepth {
+					maxDepth = depth
+				}
+				steps := rng.Intn(depth + 1)
+				w := v
+				for s := 0; s < steps; s++ {
+					w = int(g.Succ[w])
+				}
+				if got := a.Ladder.Jump(v, steps); got != w {
+					t.Fatalf("workers=%d n=%d: Jump(%d,%d) = %d, want %d", p.Workers(), n, v, steps, got, w)
+				}
+			}
+			levels := len(a.Ladder.Up)
+			if levels > par.Iterations(n)+1 || 1<<(levels-1) < maxDepth {
+				t.Fatalf("workers=%d n=%d: %d ladder levels for depth %d", p.Workers(), n, levels, maxDepth)
+			}
 		}
-		wl := BuildWeightedLift(p, g, w)
-		for q := 0; q < 30; q++ {
-			v := rng.Intn(n)
-			steps := rng.Intn(n + 3)
-			var want int64
-			u := v
-			for s := 0; s < steps && succ[u] >= 0; s++ {
-				want += w[u]
-				u = int(succ[u])
-			}
-			if got := wl.PathSum(v, steps); got != want {
-				t.Fatalf("n=%d: PathSum(%d,%d) = %d, want %d", n, v, steps, got, want)
-			}
-			wantJump := v
-			for s := 0; s < steps && succ[wantJump] >= 0; s++ {
-				wantJump = int(succ[wantJump])
-			}
-			if got := wl.Jump(v, steps); got != wantJump {
-				t.Fatalf("n=%d: Jump(%d,%d) = %d, want %d", n, v, steps, got, wantJump)
-			}
-		}
+	}
+	// A cycle stops the ladder at its first level; a path runs it to full
+	// depth.
+	ring := make([]int32, 1000)
+	for v := range ring {
+		ring[v] = int32((v + 1) % len(ring))
+	}
+	g, _ := New(ring)
+	if levels := len(Analyze(par.Sequential(), g).Ladder.Up); levels != 1 {
+		t.Fatalf("1000-cycle: %d ladder levels, want 1", levels)
+	}
+	ring[len(ring)-1] = -1
+	g, _ = New(ring)
+	if levels, want := len(Analyze(par.Sequential(), g).Ladder.Up), par.Iterations(1000)+1; levels != want {
+		t.Fatalf("1000-path: %d ladder levels, want %d", levels, want)
 	}
 }
 

@@ -115,3 +115,22 @@ func BenchmarkSolveTiesIntoSteadyState(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSolveMaxCardIntoSteadyState is the allocation-visible form of a
+// reused solver's maximum-cardinality solve (Algorithm 3: the strict kernel,
+// then the §IV switching graph and its cut lifting ladder). The CI
+// allocation canary pins its allocs/op.
+func BenchmarkSolveMaxCardIntoSteadyState(b *testing.B) {
+	ins := solvableInstance(b, 600)
+	s := NewSolver(Options{Workers: 1})
+	defer s.Close()
+	ctx := context.Background()
+	var res Result
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.SolveRequestInto(ctx, ins, Request{Mode: ModeMaxCard}, &res); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

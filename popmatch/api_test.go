@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestPublicIORoundTrip(t *testing.T) {
@@ -122,5 +123,67 @@ func TestPublicCountLargeInstance(t *testing.T) {
 	}
 	if count.Sign() <= 0 {
 		t.Fatal("solvable instance must have at least one popular matching")
+	}
+}
+
+// switchRing builds the "ring" over 2k posts (f_i = i, s_i = k+i):
+// applicants [f_i, s_i] and [f_{(i+1) mod k}, s_i]. Its switching graph is
+// one 2k-cycle, so it has exactly two popular matchings. With chain set the
+// last [f_0, s_{k-1}] applicant is left out and the switching graph is one
+// path of 2k-1 edges: k popular matchings (none, or one of the k-1
+// switching paths that start at an s-post).
+func switchRing(t *testing.T, k int, chain bool) *Instance {
+	t.Helper()
+	lists := make([][]int32, 0, 2*k)
+	for i := 0; i < k; i++ {
+		lists = append(lists, []int32{int32(i), int32(k + i)})
+	}
+	for i := 0; i < k; i++ {
+		if chain && i == k-1 {
+			break
+		}
+		lists = append(lists, []int32{int32((i + 1) % k), int32(k + i)})
+	}
+	ins, err := NewStrict(2*k, lists)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ins
+}
+
+func TestCountRingAndChain(t *testing.T) {
+	for _, c := range []struct {
+		k     int
+		chain bool
+		want  int64
+	}{{1, false, 2}, {7, false, 2}, {7, true, 7}, {300, true, 300}} {
+		count, err := Count(switchRing(t, c.k, c.chain), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if count.Int64() != c.want {
+			t.Fatalf("k=%d chain=%v: Count = %s, want %d", c.k, c.chain, count, c.want)
+		}
+	}
+}
+
+// TestCountLongSwitchingCycle pins Count linear in the length of a
+// switching cycle: each cycle is counted once by its component label, not
+// by walking the cycle from each of its vertices (quadratic: ~25 s here).
+func TestCountLongSwitchingCycle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solves a 100,000-applicant instance")
+	}
+	ins := switchRing(t, 50_000, false)
+	start := time.Now()
+	count, err := Count(ins, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if count.Int64() != 2 {
+		t.Fatalf("Count = %s, want 2", count)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("Count on a 100,000-vertex switching cycle took %v, want under 2s", d)
 	}
 }
