@@ -1,8 +1,8 @@
-// Benchmark harness: one benchmark family per experiment table of
-// EXPERIMENTS.md (T1..T8). The paper is a theory paper without measured
-// tables, so these benchmarks regenerate the quantities its figures, lemmas
-// and theorems predict; `go test -bench=. -benchmem` runs everything and
-// cmd/popbench prints the same data as tables.
+// Benchmarks: one family per experiment table T1..T8 of cmd/popbench. The
+// paper is a theory paper without measured tables, so these benchmarks time
+// the quantities its figures, lemmas and theorems predict; `go test
+// -bench=. -benchmem` runs everything and cmd/popbench prints the tables.
+// End-to-end performance is measured by bash benchmark/run.sh.
 package repro
 
 import (
@@ -27,7 +27,7 @@ func BenchmarkPeelingRoundsBroom(b *testing.B) {
 		ins := onesided.BinaryBroom(depth)
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := core.Popular(ins, core.Options{})
+				res, err := core.SolveRequest(ins, core.Request{Mode: core.ModePopular}, core.Options{})
 				if err != nil || !res.Exists {
 					b.Fatal("broom must be solvable")
 				}
@@ -50,7 +50,7 @@ func BenchmarkPopular(b *testing.B) {
 			defer pool.Close()
 			b.Run(fmt.Sprintf("n=%d/P=%d", n, workers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := core.Popular(ins, core.Options{Pool: pool}); err != nil {
+					if _, err := core.SolveRequest(ins, core.Request{Mode: core.ModePopular}, core.Options{Pool: pool}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -81,7 +81,7 @@ func BenchmarkMaxCardinality(b *testing.B) {
 		ins := solvableUniformInstance(rng, n, b)
 		b.Run(fmt.Sprintf("parallel/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.MaxCardinality(ins, core.Options{}); err != nil {
+				if _, err := core.SolveRequest(ins, core.Request{Mode: core.ModeMaxCard}, core.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -205,14 +205,14 @@ func BenchmarkOptimalVariants(b *testing.B) {
 	ins := solvableUniformInstance(rng, 4000, b)
 	b.Run("rankMaximal", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := core.RankMaximal(ins, core.Options{}); err != nil {
+			if _, err := core.SolveRequest(ins, core.Request{Mode: core.ModeRankMaximal}, core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("fair", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := core.Fair(ins, core.Options{}); err != nil {
+			if _, err := core.SolveRequest(ins, core.Request{Mode: core.ModeFair}, core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -227,7 +227,7 @@ func BenchmarkPopularWithTracing(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var tr par.Tracer
-		if _, err := core.Popular(ins, core.Options{Tracer: &tr}); err != nil {
+		if _, err := core.SolveRequest(ins, core.Request{Mode: core.ModePopular}, core.Options{Tracer: &tr}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -238,7 +238,7 @@ func BenchmarkPopularWithTracing(b *testing.B) {
 func solvableUniformInstance(rng *rand.Rand, n int, b *testing.B) *onesided.Instance {
 	for tries := 0; tries < 200; tries++ {
 		ins := onesided.RandomStrict(rng, n, n+n/2, 3, 7)
-		r, err := core.Popular(ins, core.Options{})
+		r, err := core.SolveRequest(ins, core.Request{Mode: core.ModePopular}, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -257,7 +257,7 @@ func BenchmarkSolveTies(b *testing.B) {
 	ins := onesided.RandomTies(rng, 300, 260, 2, 7, 0.35)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.SolveTies(ins, true, core.Options{}); err != nil {
+		if _, err := core.SolveRequest(ins, core.Request{Mode: core.ModeTiesMax}, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -269,7 +269,7 @@ func BenchmarkUnpopularityOracle(b *testing.B) {
 	var m *onesided.Matching
 	for {
 		ins = onesided.RandomStrict(rng, 100, 100, 2, 6)
-		r, err := core.Popular(ins, core.Options{})
+		r, err := core.SolveRequest(ins, core.Request{Mode: core.ModePopular}, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -3,9 +3,11 @@ package repro
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -71,31 +73,12 @@ func TestCLIGoldenPopmatchUnit(t *testing.T) {
 // TestCLIGoldenPopmatchCheck pins the -check verification surface on the
 // capacitated fixture: a known-bad assignment must exit with the dedicated
 // verification-failure code (3) and the clear diagnostic, and the committed
-// golden solve output must verify clean when fed back in. Runs the built
-// binary directly because `go run` flattens exit codes to 1.
+// golden solve output must verify clean when fed back in.
 func TestCLIGoldenPopmatchCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI integration test")
 	}
-	bin := filepath.Join(t.TempDir(), "popmatch")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/popmatch").CombinedOutput(); err != nil {
-		t.Fatalf("build: %v\n%s", err, out)
-	}
-	run := func(args ...string) (string, int) {
-		t.Helper()
-		var buf bytes.Buffer
-		cmd := exec.Command(bin, args...)
-		cmd.Stdout = &buf
-		cmd.Stderr = &buf
-		err := cmd.Run()
-		code := 0
-		if ee, ok := err.(*exec.ExitError); ok {
-			code = ee.ExitCode()
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		return buf.String(), code
-	}
+	run := buildTool(t, "./cmd/popmatch")
 
 	// The committed bad assignment (everyone on their last resort) is
 	// structurally valid but maximally unpopular.
@@ -169,20 +152,16 @@ func TestCLICapacitatedPipeline(t *testing.T) {
 	}
 }
 
-// TestCLIGoldenPopmatchModeAliases pins the deprecated per-mode alias
-// flags: an alias must produce byte-identical output to its -mode spelling
-// (the same committed golden files), naming two different modes must exit
-// with the usage code 2, and naming the same mode twice stays fine. Runs
-// the built binary directly because `go run` flattens exit codes.
-func TestCLIGoldenPopmatchModeAliases(t *testing.T) {
-	if testing.Short() {
-		t.Skip("CLI integration test")
+// buildTool compiles one command into the test's temporary directory and
+// returns a runner reporting combined output and exit code. It runs the
+// built binary directly because `go run` flattens exit codes to 1.
+func buildTool(t *testing.T, pkg string) func(args ...string) (string, int) {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), filepath.Base(pkg))
+	if out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput(); err != nil {
+		t.Fatalf("build %s: %v\n%s", pkg, err, out)
 	}
-	bin := filepath.Join(t.TempDir(), "popmatch")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/popmatch").CombinedOutput(); err != nil {
-		t.Fatalf("build: %v\n%s", err, out)
-	}
-	run := func(args ...string) (string, int) {
+	return func(args ...string) (string, int) {
 		t.Helper()
 		var buf bytes.Buffer
 		cmd := exec.Command(bin, args...)
@@ -197,45 +176,93 @@ func TestCLIGoldenPopmatchModeAliases(t *testing.T) {
 		}
 		return buf.String(), code
 	}
+}
 
-	// The alias path reproduces the -mode maxcard golden byte for byte.
-	out, code := run("-workers", "1", "-maxcard", "testdata/cap_contended.txt")
-	if code != 0 {
-		t.Fatalf("-maxcard alias exited %d\n%s", code, out)
+// TestCLIGoldenPopmatchModeAliases pins the mode spellings -mode accepts:
+// rankmaximal and its historical spelling rankmax produce byte-identical
+// output (one committed golden file), and -mode reaches the weighted
+// surfaces too.
+func TestCLIGoldenPopmatchModeAliases(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI integration test")
 	}
-	checkGolden(t, "popmatch_cap_contended_maxcard.out", out)
-
-	// The rankmax alias (historical spelling of rankmaximal) on the unit
-	// fixture, pinned by its own golden file.
-	out, code = run("-workers", "1", "-rankmax", "testdata/unit_small.txt")
-	if code != 0 {
-		t.Fatalf("-rankmax alias exited %d\n%s", code, out)
-	}
-	checkGolden(t, "popmatch_unit_small_rankmax.out", out)
-
-	// Two different modes — alias vs alias, and alias vs explicit -mode —
-	// are usage errors with the dedicated exit code 2.
-	if out, code = run("-workers", "1", "-maxcard", "-fair", "testdata/unit_small.txt"); code != 2 {
-		t.Fatalf("-maxcard -fair exited %d, want 2\n%s", code, out)
-	}
-	if !strings.Contains(out, "conflicting mode flags") {
-		t.Fatalf("conflict diagnostic missing:\n%s", out)
-	}
-	if out, code = run("-workers", "1", "-mode", "fair", "-maxcard", "testdata/unit_small.txt"); code != 2 {
-		t.Fatalf("-mode fair -maxcard exited %d, want 2\n%s", code, out)
+	run := buildTool(t, "./cmd/popmatch")
+	for _, mode := range []string{"rankmaximal", "rankmax"} {
+		out, code := run("-workers", "1", "-mode", mode, "testdata/unit_small.txt")
+		if code != 0 {
+			t.Fatalf("-mode %s exited %d\n%s", mode, code, out)
+		}
+		checkGolden(t, "popmatch_unit_small_rankmax.out", out)
 	}
 
-	// Agreeing spellings of one mode are not a conflict.
-	if out, code = run("-workers", "1", "-mode", "maxcard", "-maxcard", "testdata/cap_contended.txt"); code != 0 {
-		t.Fatalf("-mode maxcard -maxcard exited %d\n%s", code, out)
-	}
-	checkGolden(t, "popmatch_cap_contended_maxcard.out", out)
-
-	// The unified -mode flag reaches the weighted surfaces too.
-	if out, code = run("-workers", "1", "-mode", "minweight", "-verify", "testdata/unit_small.txt"); code != 0 {
+	if out, code := run("-workers", "1", "-mode", "minweight", "-verify", "testdata/unit_small.txt"); code != 0 {
 		t.Fatalf("-mode minweight exited %d\n%s", code, out)
-	}
-	if !strings.Contains(out, "# verified popular") {
+	} else if !strings.Contains(out, "# verified popular") {
 		t.Fatalf("minweight solve did not verify:\n%s", out)
+	}
+}
+
+// TestCLIGoldenPopmatchStats pins -stats: its round and work totals on the
+// unit fixture, and that with -trace as well it prints the totals of the
+// trace table rather than zeros.
+func TestCLIGoldenPopmatchStats(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI integration test")
+	}
+	run := buildTool(t, "./cmd/popmatch")
+	out, code := run("-workers", "1", "-stats", "testdata/unit_small.txt")
+	if code != 0 {
+		t.Fatalf("-stats exited %d\n%s", code, out)
+	}
+	checkGolden(t, "popmatch_unit_small_stats.out", out)
+
+	for _, mode := range []string{"popular", "maxcard"} {
+		out, code = run("-workers", "1", "-stats", "-trace", "-mode", mode, "testdata/unit_small.txt")
+		if code != 0 {
+			t.Fatalf("-stats -trace -mode %s exited %d\n%s", mode, code, out)
+		}
+		var rounds, work int64
+		var stats string
+		for _, line := range strings.Split(out, "\n") {
+			f := strings.Fields(line)
+			if len(f) >= 4 && f[0] == "#" && f[1] == "total" {
+				rounds, _ = strconv.ParseInt(f[2], 10, 64)
+				work, _ = strconv.ParseInt(f[3], 10, 64)
+			}
+			if strings.HasPrefix(line, "# rounds=") {
+				stats = line
+			}
+		}
+		if rounds == 0 || work == 0 {
+			t.Fatalf("-mode %s: trace table has no totals:\n%s", mode, out)
+		}
+		if want := fmt.Sprintf("# rounds=%d work=%d", rounds, work); stats != want {
+			t.Fatalf("-mode %s: -stats printed %q, trace totals %q\n%s", mode, stats, want, out)
+		}
+	}
+}
+
+// TestExamplesGolden runs the example programs and pins their stdout. The
+// batch example prints timings, so only its exit status and its
+// "applicants matched" line are checked.
+func TestExamplesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("example integration test")
+	}
+	for _, name := range []string{"capacitated", "housing", "lattice", "quickstart", "residents", "ties"} {
+		t.Run(name, func(t *testing.T) {
+			out, err := runTool(t, "", "./examples/"+name)
+			if err != nil {
+				t.Fatalf("example %s: %v\n%s", name, err, out)
+			}
+			checkGolden(t, "example_"+name+".out", out)
+		})
+	}
+	out, err := runTool(t, "", "./examples/batch")
+	if err != nil {
+		t.Fatalf("example batch: %v\n%s", err, out)
+	}
+	if !strings.Contains(out, "applicants matched") {
+		t.Fatalf("example batch: no \"applicants matched\" line:\n%s", out)
 	}
 }

@@ -13,8 +13,8 @@
 // shorthand for kind=random with capacities (default maxcap 3).
 //
 // -format binary emits the zero-copy columnar binary encoding instead of
-// text; every read surface (popmatch, popbench, popserved uploads)
-// auto-detects it by magic.
+// text; every read surface (popmatch, popserved uploads) auto-detects it
+// by magic.
 package main
 
 import (
@@ -78,7 +78,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	// A 1 MiB buffer keeps large-scenario generation (n >= 10^5 applicants)
+	// A 1 MiB buffer keeps large generation (n >= 10^5 applicants)
 	// from being dominated by small stdout writes; Write flushes its own
 	// internal bufio through this one.
 	w := bufio.NewWriterSize(os.Stdout, 1<<20)

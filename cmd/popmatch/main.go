@@ -10,13 +10,13 @@
 // and wall time per algorithm phase, plus total barrier-wait time) — the
 // same breakdown the popserved API returns for "trace": true solves.
 //
+// -stats prints the solve's total rounds and work, read from the same
+// per-solve trace.
+//
 // -mode is backed by the engine's shared mode enum, so the CLI accepts
 // exactly the modes the library and the popserved HTTP surface accept
-// ("rankmax" remains an accepted spelling of rankmaximal). The historical
-// per-mode boolean flags (-maxcard, -ties, -tiesmax, -rankmax, -fair) are
-// kept as deprecated aliases for -mode; naming two modes — two alias flags,
-// or an alias plus a conflicting -mode — is a usage error (exit 2). The
-// weighted modes use the built-in cardinality weights.
+// ("rankmax" remains an accepted spelling of rankmaximal). The weighted
+// modes use the built-in cardinality weights.
 //
 // Reads the instance from `file` or stdin. The text format is:
 //
@@ -121,43 +121,6 @@ func usageError(format string, args ...any) {
 	os.Exit(2)
 }
 
-// resolveMode merges the -mode flag with the deprecated per-mode alias
-// flags into one shared-enum Mode. Naming two different modes is a usage
-// error (exit 2); repeating the same mode two ways is allowed.
-func resolveMode(modeFlag string, aliases map[string]*bool) popmatch.Mode {
-	mode, err := popmatch.ParseMode(modeFlag)
-	if err != nil {
-		usageError("%v", err)
-	}
-	modeExplicit := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "mode" {
-			modeExplicit = true
-		}
-	})
-	chosen := ""
-	for name, set := range aliases {
-		if !*set {
-			continue
-		}
-		if chosen != "" && chosen != name {
-			usageError("conflicting mode flags -%s and -%s", chosen, name)
-		}
-		chosen = name
-	}
-	if chosen == "" {
-		return mode
-	}
-	aliasMode, err := popmatch.ParseMode(chosen)
-	if err != nil {
-		panic(err) // alias names are drawn from the enum
-	}
-	if modeExplicit && aliasMode != mode {
-		usageError("conflicting mode flags -mode %s and -%s", mode, chosen)
-	}
-	return aliasMode
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("popmatch: ")
@@ -168,15 +131,11 @@ func main() {
 	stats := flag.Bool("stats", false, "print parallel round/work accounting")
 	traceFlag := flag.Bool("trace", false, "print a per-phase cost table (rounds, work, wall time) to stderr")
 	check := flag.String("check", "", "verify the assignment in this file (popmatch output format) against the instance instead of solving; exit 3 if it is not popular")
-	aliases := map[string]*bool{
-		"maxcard": flag.Bool("maxcard", false, "deprecated alias for -mode maxcard"),
-		"ties":    flag.Bool("ties", false, "deprecated alias for -mode ties"),
-		"tiesmax": flag.Bool("tiesmax", false, "deprecated alias for -mode tiesmax"),
-		"rankmax": flag.Bool("rankmax", false, "deprecated alias for -mode rankmaximal"),
-		"fair":    flag.Bool("fair", false, "deprecated alias for -mode fair"),
-	}
 	flag.Parse()
-	solveMode := resolveMode(*mode, aliases)
+	solveMode, err := popmatch.ParseMode(*mode)
+	if err != nil {
+		usageError("%v", err)
+	}
 
 	var in io.Reader = os.Stdin
 	if flag.NArg() > 0 {
@@ -192,8 +151,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var trace popmatch.Stats
-	s := popmatch.NewSolver(popmatch.Options{Workers: *workers, Trace: &trace})
+	s := popmatch.NewSolver(popmatch.Options{Workers: *workers})
 	defer s.Close()
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -231,7 +189,7 @@ func main() {
 
 	req := popmatch.Request{Mode: solveMode}
 	var solveTrace popmatch.SolveTrace
-	if *traceFlag {
+	if *traceFlag || *stats {
 		req.Trace = &solveTrace
 	}
 	res, err := s.SolveRequest(ctx, ins, req)
@@ -274,7 +232,7 @@ func main() {
 	}
 	fmt.Println()
 	if *stats {
-		fmt.Printf("# rounds=%d work=%d\n", trace.Rounds(), trace.Work())
+		fmt.Printf("# rounds=%d work=%d\n", solveTrace.Rounds, solveTrace.Work)
 	}
 	if *verify {
 		if res.Assignment != nil {

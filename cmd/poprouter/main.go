@@ -140,6 +140,12 @@ func main() {
 	}
 	httpServer := &http.Server{Handler: shard.NewHandler(rt)}
 
+	// Catch the shutdown signals before announcing the address: a script
+	// that signals as soon as it reads the line must get the orderly
+	// shutdown, not the default action.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
 	// The line CI and scripts wait for; stdout is flushed line-buffered.
 	fmt.Printf("poprouter listening on %s\n", ln.Addr())
 	os.Stdout.Sync()
@@ -147,8 +153,6 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- httpServer.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case s := <-sig:
 		logger.Info("shutting down", slog.String("signal", s.String()))

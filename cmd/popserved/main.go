@@ -191,6 +191,12 @@ func main() {
 		logger.Info("debug listener up", slog.String("addr", dln.Addr().String()))
 	}
 
+	// Catch the shutdown signals before announcing the address: a script
+	// that signals as soon as it reads the line must get the orderly
+	// shutdown, not the default action.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
 	// The line CI and scripts wait for; stdout is flushed line-buffered.
 	fmt.Printf("popserved listening on %s\n", ln.Addr())
 	os.Stdout.Sync()
@@ -198,8 +204,6 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- httpServer.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case s := <-sig:
 		logger.Info("shutting down", slog.String("signal", s.String()))

@@ -1,25 +1,24 @@
 // Package repro reproduces Hu & Garg, "NC Algorithms for Popular Matchings
 // in One-Sided Preference Systems and Related Problems" (IPDPS 2020).
 //
-// The public API lives in the popmatch and stablematch packages. The
-// recommended entry point for anything beyond a single computation is the
-// reusable handle:
+// The public API lives in the popmatch and stablematch packages. Every
+// solve is one popmatch.Request, and the recommended entry point for
+// anything beyond a single computation is the reusable handle:
 //
 //	s := popmatch.NewSolver(popmatch.Options{})
 //	defer s.Close()
-//	res, err := s.Solve(ctx, ins) // context-cancellable
-//	res, err = s.SolveRequest(ctx, ins, popmatch.Request{Mode: popmatch.ModeMaxCard})
+//	res, err := s.SolveRequest(ctx, ins, popmatch.Request{Mode: popmatch.ModeMaxCard}) // context-cancellable
 //
 // A Solver runs on a persistent execution context (internal/exec): worker
 // goroutines and scratch buffers survive across solves, and every parallel
-// round boundary checks the context for cancellation. The pre-existing
-// one-shot functions (popmatch.Solve, ...) remain as thin wrappers.
+// round boundary checks the context for cancellation. The package-level
+// popmatch.SolveRequest runs one request on a throwaway Solver.
 //
 // Every solve surface dispatches through one mode-driven engine
 // (internal/core.Engine): a Request carries a Mode — popular, maxcard,
 // ties, tiesmax, maxweight, minweight, rankmaximal, fair — from the single
-// enum that core defines and popmatch, internal/serve and the CLIs
-// re-export, so routing (capacitated clone reduction, strictness checks,
+// enum that core defines, popmatch re-exports, and internal/serve and the
+// CLIs parse, so routing (capacitated clone reduction, strictness checks,
 // cancellation, result recycling) exists once. The engine lives on the
 // solve session's arena and owns an arena-resident kernel per path: the
 // strict kernel (prebound loop closures over the CSR), the §V ties kernel
@@ -60,9 +59,9 @@
 // the degenerate case with unchanged single-process behavior. The router
 // adds optional replication with read fail-over, per-shard health probes,
 // in-flight bounds with 429+Retry-After load shedding, per-shard metric
-// series and X-Request-Id propagation; BENCH_shard.json (popbench
-// -scenario shard) records the closed-loop shard-count sweep. See the
-// README's "Sharding" section.
+// series and X-Request-Id propagation; the serve_hit_routed workload of
+// bash benchmark/run.sh measures it over two shards. See the README's
+// "Sharding" section.
 //
 // Observability is one dependency-free layer (internal/obs): atomic
 // counters and gauges plus lock-free log2-bucketed latency histograms on a
@@ -108,9 +107,9 @@
 // popmatch re-exports ReadAuto/ReadBinary/WriteBinary; every CLI ingest
 // path auto-detects the format by magic, the serve upload endpoint
 // negotiates it by Content-Type (415 otherwise), and `popserved -store`
-// persists the registry as binary files re-mmap'd on restart. At n=10^6
-// the alias decode ingests 9.7x faster than the text parser at 6 allocs
-// per op (BENCH_ingest.json, popbench -scenario ingest).
+// persists the registry as binary files re-mmap'd on restart.
+// BenchmarkIngest (internal/onesided) prices the alias decode against the
+// text parser.
 //
 // Internally every solver layer shares one flat instance representation:
 // the CSR core (internal/onesided.CSR) — preference lists concatenated into
@@ -120,8 +119,7 @@
 // queried; mutate-then-Invalidate is the documented escape hatch, enforced
 // by `-tags debug` builds. See the README's "Architecture" section for the
 // layer stack (onesided → core.Engine → exec → popmatch → serve → shard →
-// cmd) and
-// when CSR vs Instance is the right type.
+// cmd) and when CSR vs Instance is the right type.
 //
 // The paper's PRAM rounds run on the internal/par substrate: a persistent
 // worker pool driven by a chunk-claiming round scheduler. Each
@@ -132,17 +130,14 @@
 // with the par.MinGrain floor) sizes chunks to amortize the claim and
 // align bit-matrix work to whole cache lines of words. Worker count never
 // changes results: the corpus-wide differential test pins every engine
-// mode bit-identical at workers 1/2/8 under -race, and the popbench
-// scaling scenario (BENCH_scaling.json) records speedup curves together
-// with that identity check and the host's CPU count. See the README's
-// "Parallelism" section.
+// mode bit-identical at workers 1/2/8 under -race, and
+// BenchmarkStrictWorkers (popmatch) times one worker against four with the
+// same identity check. See the README's "Parallelism" section.
 //
 // The parallel substrate and algorithm internals are under internal/; see
-// README.md for the package map. The benchmarks in bench_test.go regenerate
-// the experiment tables of EXPERIMENTS.md (one benchmark family per table);
-// cmd/popbench prints the tables directly, and `popbench -json` emits the
-// machine-readable scenario benchmarks recorded in BENCH_pool.json,
-// BENCH_capacitated.json, BENCH_csr.json (the flat-core before/after),
-// BENCH_delta.json (incremental vs full re-solve) and BENCH_scaling.json
-// (the worker-count scaling curves).
+// README.md for the package map. cmd/popbench prints the experiment tables
+// T1..T8, which check the paper's lemmas and theorems on generated
+// instances, and the benchmarks in bench_test.go time the same quantities
+// (one benchmark family per table). End-to-end performance is measured by
+// bash benchmark/run.sh.
 package repro

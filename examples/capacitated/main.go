@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -50,7 +51,10 @@ func main() {
 	}
 	fmt.Printf("%d students, %d schools, %d seats\n\n", students, schools, total)
 
-	res, err := popmatch.MaxCardinality(ins, popmatch.Options{Workers: 1})
+	s := popmatch.NewSolver(popmatch.Options{Workers: 1})
+	defer s.Close()
+	ctx := context.Background()
+	res, err := s.SolveRequest(ctx, ins, popmatch.Request{Mode: popmatch.ModeMaxCard})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,7 +72,7 @@ func main() {
 
 	// Independent check: the margin oracle runs on the cloned instance and
 	// reports the best vote margin any rival assignment achieves.
-	if err := popmatch.VerifyAssignment(ins, res.Assignment, popmatch.Options{Workers: 1}); err != nil {
+	if err := s.VerifyAssignment(ctx, ins, res.Assignment); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("margin oracle: assignment is popular")
@@ -84,7 +88,7 @@ func main() {
 	if err := squeezed.SetCapacities(ones); err != nil {
 		log.Fatal(err)
 	}
-	r2, err := popmatch.MaxCardinality(squeezed, popmatch.Options{Workers: 1})
+	r2, err := s.SolveRequest(ctx, squeezed, popmatch.Request{Mode: popmatch.ModeMaxCard})
 	if err != nil {
 		log.Fatal(err)
 	}

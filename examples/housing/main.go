@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -24,15 +25,23 @@ const (
 	houses   = 450
 )
 
+// solver is the one Solver every solve of the example shares.
+var solver = popmatch.NewSolver(popmatch.Options{})
+
+// solve runs one mode on the shared Solver.
+func solve(ins *popmatch.Instance, mode popmatch.Mode) popmatch.Result {
+	r, err := solver.SolveRequest(context.Background(), ins, popmatch.Request{Mode: mode})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return r
+}
+
 // solvableDraw retries a generator until Algorithm 1 reports existence.
-func solvableDraw(rng *rand.Rand, gen func() *popmatch.Instance) (*popmatch.Instance, popmatch.Result) {
+func solvableDraw(gen func() *popmatch.Instance) (*popmatch.Instance, popmatch.Result) {
 	for tries := 0; tries < 500; tries++ {
 		ins := gen()
-		r, err := popmatch.Solve(ins, popmatch.Options{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if r.Exists {
+		if r := solve(ins, popmatch.ModePopular); r.Exists {
 			return ins, r
 		}
 	}
@@ -41,6 +50,7 @@ func solvableDraw(rng *rand.Rand, gen func() *popmatch.Instance) (*popmatch.Inst
 }
 
 func main() {
+	defer solver.Close()
 	rng := rand.New(rand.NewSource(2020))
 
 	fmt.Printf("housing allocation: %d families, %d houses\n\n", families, houses)
@@ -61,11 +71,7 @@ func main() {
 			} else {
 				ins = popmatch.RandomZipf(rng, families, houses, cfg.maxLen, cfg.skew)
 			}
-			r, err := popmatch.Solve(ins, popmatch.Options{})
-			if err != nil {
-				log.Fatal(err)
-			}
-			if r.Exists {
+			if solve(ins, popmatch.ModePopular).Exists {
 				solvable++
 			}
 		}
@@ -84,29 +90,19 @@ func main() {
 	}
 	const draws = 10
 	for d := 0; d < draws; d++ {
-		ins, plain := solvableDraw(rng, func() *popmatch.Instance {
+		ins, plain := solvableDraw(func() *popmatch.Instance {
 			return popmatch.RandomStrict(rng, families, houses, 3, 7)
 		})
-		o := popmatch.Options{}
-		mc, err := popmatch.MaxCardinality(ins, o)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rm, err := popmatch.RankMaximal(ins, o)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fair, err := popmatch.Fair(ins, o)
-		if err != nil {
-			log.Fatal(err)
-		}
+		mc := solve(ins, popmatch.ModeMaxCard)
+		rm := solve(ins, popmatch.ModeRankMaximal)
+		fair := solve(ins, popmatch.ModeFair)
 		if fair.Size != mc.Size {
 			log.Fatalf("fair size %d != max-card size %d", fair.Size, mc.Size)
 		}
 		for name, r := range map[string]popmatch.Result{
 			"popular": plain, "max-cardinality": mc, "rank-maximal": rm, "fair": fair,
 		} {
-			if err := popmatch.Verify(ins, r.Matching, o); err != nil {
+			if err := solver.Verify(context.Background(), ins, r.Matching); err != nil {
 				log.Fatalf("%s not popular: %v", name, err)
 			}
 			prof := popmatch.Profile(ins, r.Matching)

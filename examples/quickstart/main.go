@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,8 +28,13 @@ func main() {
 		fmt.Println()
 	}
 
-	var stats popmatch.Stats
-	res, err := popmatch.Solve(ins, popmatch.Options{Trace: &stats})
+	// One Solver serves every call below; Request.Trace asks for the
+	// solve's bulk-synchronous cost.
+	s := popmatch.NewSolver(popmatch.Options{})
+	defer s.Close()
+	ctx := context.Background()
+	var tr popmatch.SolveTrace
+	res, err := s.SolveRequest(ctx, ins, popmatch.Request{Mode: popmatch.ModePopular, Trace: &tr})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,9 +47,9 @@ func main() {
 		fmt.Printf("  a%d -> p%d\n", a+1, p+1)
 	}
 	fmt.Printf("\nsize=%d peel-rounds=%d (Lemma 2 bound: ceil(log2 n)+1)\n", res.Size, res.PeelRounds)
-	fmt.Printf("parallel cost: %d bulk-synchronous rounds, %d work\n", stats.Rounds(), stats.Work())
+	fmt.Printf("parallel cost: %d bulk-synchronous rounds, %d work\n", tr.Rounds, tr.Work)
 
-	if err := popmatch.Verify(ins, res.Matching, popmatch.Options{}); err != nil {
+	if err := s.Verify(ctx, ins, res.Matching); err != nil {
 		log.Fatalf("Theorem 1 verification failed: %v", err)
 	}
 	margin := popmatch.UnpopularityMargin(ins, res.Matching)

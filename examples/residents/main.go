@@ -23,7 +23,8 @@ func main() {
 
 	fmt.Println("ties: 300 residents, 260 programs, tie probability 0.35")
 	ins := popmatch.RandomTies(rng, 300, 260, 2, 7, 0.35)
-	res, err := popmatch.SolveTies(ins, true, popmatch.Options{})
+	tiesMax := popmatch.Request{Mode: popmatch.ModeTiesMax}
+	res, err := popmatch.SolveRequest(ins, tiesMax, popmatch.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func main() {
 		solvable := 0
 		for trial := 0; trial < 20; trial++ {
 			strict := popmatch.RandomStrict(rng, residents, programs, 3, 6)
-			r, err := popmatch.Solve(strict, popmatch.Options{})
+			r, err := popmatch.SolveRequest(strict, popmatch.Request{Mode: popmatch.ModePopular}, popmatch.Options{})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -63,7 +64,7 @@ func main() {
 
 	// Small sanity run with the full oracle.
 	small := popmatch.RandomTies(rng, 12, 10, 1, 4, 0.4)
-	sres, err := popmatch.SolveTies(small, true, popmatch.Options{})
+	sres, err := popmatch.SolveRequest(small, tiesMax, popmatch.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -56,6 +57,8 @@ func hopcroftKarpSize(adj [][]int32, nRight int) int {
 }
 
 func main() {
+	s := popmatch.NewSolver(popmatch.Options{})
+	defer s.Close()
 	rng := rand.New(rand.NewSource(11))
 	fmt.Println("Theorem 11: max bipartite matching via popular matching")
 	fmt.Println("  n    density   reduction   direct   agree")
@@ -69,7 +72,7 @@ func main() {
 					}
 				}
 			}
-			_, viaPopular, err := popmatch.MaxBipartiteMatching(adj, n, popmatch.Options{})
+			_, viaPopular, err := s.MaxBipartiteMatching(context.Background(), adj, n)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -1,7 +1,8 @@
-// Package bench is the experiment harness behind cmd/popbench and
-// EXPERIMENTS.md: every table T1..T8 regenerates one of the reproduction
-// targets listed in DESIGN.md (the paper itself has no evaluation tables, so
-// these validate its figures, lemmas and NC claims empirically).
+// Package bench holds the experiment tables behind cmd/popbench: every table
+// T1..T8 checks one of the paper's figures, lemmas or NC claims empirically
+// (the paper itself has no evaluation tables). Performance of the program
+// as users run it is measured by the repository benchmark instead
+// (bash benchmark/run.sh).
 package bench
 
 import (
@@ -60,7 +61,7 @@ func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// Markdown writes the table as a Markdown table (for EXPERIMENTS.md).
+// Markdown writes the table as a Markdown table.
 func (t *Table) Markdown(w io.Writer) {
 	fmt.Fprintf(w, "### %s — %s\n\n", t.ID, t.Title)
 	fmt.Fprintf(w, "| %s |\n", strings.Join(t.Columns, " | "))
@@ -95,7 +96,7 @@ func T1PeelingRounds(seed int64) *Table {
 	}
 	for _, n := range []int{100, 1000, 10000, 100000} {
 		ins := onesided.RandomStrict(rng, n, n, 1, 6)
-		res, err := core.Popular(ins, core.Options{})
+		res, err := core.SolveRequest(ins, core.Request{Mode: core.ModePopular}, core.Options{})
 		if err != nil {
 			panic(err)
 		}
@@ -106,7 +107,7 @@ func T1PeelingRounds(seed int64) *Table {
 	}
 	for _, depth := range []int{4, 8, 12, 16} {
 		ins := onesided.BinaryBroom(depth)
-		res, err := core.Popular(ins, core.Options{})
+		res, err := core.SolveRequest(ins, core.Request{Mode: core.ModePopular}, core.Options{})
 		if err != nil {
 			panic(err)
 		}
@@ -140,7 +141,7 @@ func T2Speedup(seed int64) *Table {
 		for _, p := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
 			pool := par.NewPool(p)
 			t1 := time.Now()
-			if _, err := core.Popular(ins, core.Options{Pool: pool}); err != nil {
+			if _, err := core.SolveRequest(ins, core.Request{Mode: core.ModePopular}, core.Options{Pool: pool}); err != nil {
 				panic(err)
 			}
 			times = append(times, time.Since(t1))
@@ -170,7 +171,7 @@ func T3MaxCard(seed int64) *Table {
 		// leave last-resort slack for Algorithm 3 to reclaim.
 		ins, plain := solvableUniform(rng, n)
 		t0 := time.Now()
-		mc, _, err := core.MaxCardinality(ins, core.Options{})
+		mc, err := core.SolveRequest(ins, core.Request{Mode: core.ModeMaxCard}, core.Options{})
 		if err != nil {
 			panic(err)
 		}
@@ -332,22 +333,22 @@ func T7OptimalProfiles(seed int64) *Table {
 			fmt.Sprint(prof[len(prof)-1]),
 		})
 	}
-	plain, err := core.Popular(ins, core.Options{})
+	plain, err := core.SolveRequest(ins, core.Request{Mode: core.ModePopular}, core.Options{})
 	if err != nil {
 		panic(err)
 	}
 	addRow("popular", plain.Matching)
-	mc, _, err := core.MaxCardinality(ins, core.Options{})
+	mc, err := core.SolveRequest(ins, core.Request{Mode: core.ModeMaxCard}, core.Options{})
 	if err != nil {
 		panic(err)
 	}
 	addRow("max-cardinality", mc.Matching)
-	rm, _, err := core.RankMaximal(ins, core.Options{})
+	rm, err := core.SolveRequest(ins, core.Request{Mode: core.ModeRankMaximal}, core.Options{})
 	if err != nil {
 		panic(err)
 	}
 	addRow("rank-maximal", rm.Matching)
-	fair, _, err := core.Fair(ins, core.Options{})
+	fair, err := core.SolveRequest(ins, core.Request{Mode: core.ModeFair}, core.Options{})
 	if err != nil {
 		panic(err)
 	}
@@ -369,7 +370,7 @@ func T8SpanScaling(seed int64) *Table {
 	for _, n := range []int{1000, 10000, 100000, 1000000} {
 		ins := onesided.RandomStrict(rng, n, n, 1, 6)
 		var tr par.Tracer
-		if _, err := core.Popular(ins, core.Options{Tracer: &tr}); err != nil {
+		if _, err := core.SolveRequest(ins, core.Request{Mode: core.ModePopular}, core.Options{Tracer: &tr}); err != nil {
 			panic(err)
 		}
 		lg := float64(par.Iterations(2 * n))
@@ -382,18 +383,4 @@ func T8SpanScaling(seed int64) *Table {
 		})
 	}
 	return t
-}
-
-// All runs every experiment table.
-func All(seed int64) []*Table {
-	return []*Table{
-		T1PeelingRounds(seed),
-		T2Speedup(seed),
-		T3MaxCard(seed),
-		T4CycleMethods(seed),
-		T5TiesReduction(seed),
-		T6NextStable(seed),
-		T7OptimalProfiles(seed),
-		T8SpanScaling(seed),
-	}
 }

@@ -30,10 +30,10 @@ func hkSize(g *bipartite.Graph) ([]int32, []int32, int) {
 // lists of 3..7 — above the existence threshold, so a solvable draw arrives
 // within a few tries at any scale — and returns it with its plain popular
 // matching.
-func solvableUniform(rng *rand.Rand, n int) (*onesided.Instance, core.Result) {
+func solvableUniform(rng *rand.Rand, n int) (*onesided.Instance, core.Outcome) {
 	for tries := 0; tries < 200; tries++ {
 		ins := onesided.RandomStrict(rng, n, n+n/2, 3, 7)
-		r, err := core.Popular(ins, core.Options{})
+		r, err := core.SolveRequest(ins, core.Request{Mode: core.ModePopular}, core.Options{})
 		if err != nil {
 			panic(err)
 		}

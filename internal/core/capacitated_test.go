@@ -16,7 +16,7 @@ func TestStrictNoPopularVerifiedByBrute(t *testing.T) {
 	sawNone := 0
 	for trial := 0; trial < 400; trial++ {
 		ins := onesided.RandomSmall(rng, 5, 3, false)
-		res, err := Popular(ins, Options{})
+		res, err := SolveRequest(ins, Request{Mode: ModePopular}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func TestTiesNoPopularVerifiedByBrute(t *testing.T) {
 	sawNone := 0
 	for trial := 0; trial < 400; trial++ {
 		ins := onesided.RandomSmall(rng, 5, 3, true)
-		res, err := SolveTies(ins, false, Options{})
+		res, err := SolveRequest(ins, Request{Mode: ModeTies}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestSolveCapacitatedAgainstBruteOracle(t *testing.T) {
 		if !ins.UnitCapacity() {
 			sawCap++
 		}
-		res, err := SolveCapacitated(ins, false, Options{})
+		res, err := SolveRequest(ins, Request{Mode: ModePopular}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestSolveCapacitatedAgainstBruteOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SolveCapacitated(ins, false, Options{})
+	res, err := SolveRequest(ins, Request{Mode: ModePopular}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,12 +148,13 @@ func TestSolveCapacitatedAgainstBruteOracle(t *testing.T) {
 	}
 
 	// The plain gadget with an explicit all-ones capacity vector exercises
-	// the unit route of SolveCapacitated on a no-popular-matching answer.
+	// the unit bypass of the capacitated route on a no-popular-matching
+	// answer.
 	unitGadget := onesided.Unsolvable(1)
 	if err := unitGadget.SetCapacities([]int32{1, 1}); err != nil {
 		t.Fatal(err)
 	}
-	res, err = SolveCapacitated(unitGadget, false, Options{})
+	res, err = SolveRequest(unitGadget, Request{Mode: ModePopular}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestSolveCapacitatedMaxCardinality(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 150; trial++ {
 		ins := onesided.RandomSmallCapacitated(rng, 5, 3, 2, trial%2 == 1)
-		res, err := SolveCapacitated(ins, true, Options{})
+		res, err := SolveRequest(ins, Request{Mode: ModeMaxCard}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,8 +204,8 @@ func TestSolveCapacitatedMaxCardinality(t *testing.T) {
 }
 
 // TestSolveCapacitatedUnitBitIdentical pins the no-regression guarantee: a
-// unit-capacity instance routed through SolveCapacitated must return exactly
-// the matching of the historical path, bit for bit.
+// unit-capacity instance routed through the capacitated route must return
+// exactly the matching of the unit path, bit for bit.
 func TestSolveCapacitatedUnitBitIdentical(t *testing.T) {
 	// A single worker makes both runs fully deterministic, so "bit identical"
 	// is well-defined.
@@ -220,35 +221,32 @@ func TestSolveCapacitatedUnitBitIdentical(t *testing.T) {
 		} else {
 			ins = onesided.RandomStrict(rng, 2+rng.Intn(20), 2+rng.Intn(20), 1, 5)
 		}
-		// Half the trials use an explicit all-ones vector: still unit.
-		if trial%2 == 1 {
-			caps := make([]int32, ins.NumPosts)
-			for i := range caps {
-				caps[i] = 1
-			}
-			if err := ins.SetCapacities(caps); err != nil {
-				t.Fatal(err)
-			}
+		// An explicit all-ones vector: still unit, but the engine routes any
+		// instance carrying a vector through the capacitated route.
+		caps := make([]int32, ins.NumPosts)
+		for i := range caps {
+			caps[i] = 1
 		}
-		capRes, err := SolveCapacitated(ins, false, opt)
+		if err := ins.SetCapacities(caps); err != nil {
+			t.Fatal(err)
+		}
+		capRes, err := SolveRequest(ins, Request{Mode: ModePopular}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want *onesided.Matching
-		var wantExists bool
-		if ins.Strict() {
-			res, err := Popular(ins, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, wantExists = res.Matching, res.Exists
-		} else {
-			res, err := SolveTies(ins, false, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, wantExists = res.Matching, res.Exists
+		// The unit path proper: a copy without the capacity vector, which
+		// the engine dispatches on strictness without the clone reduction.
+		plain := ins.Clone()
+		plain.Capacities = nil
+		mode := ModePopular
+		if !plain.Strict() {
+			mode = ModeTies
 		}
+		res, err := SolveRequest(plain, Request{Mode: mode}, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantExists := res.Matching, res.Exists
 		if capRes.Exists != wantExists {
 			t.Fatalf("trial %d: existence mismatch cap=%v unit=%v", trial, capRes.Exists, wantExists)
 		}

@@ -129,17 +129,6 @@ func SolveDeltaRequest(ins *onesided.Instance, req Request, st *DeltaState, opt 
 	return engineFor(cx).solveDelta(cx, ins, req, st)
 }
 
-// SolveDelta runs SolveDeltaRequest on this Engine; see there.
-func (e *Engine) SolveDelta(ins *onesided.Instance, req Request, st *DeltaState, opt Options) (out Outcome, err error) {
-	defer func() {
-		if err != nil {
-			st.valid = false
-		}
-	}()
-	defer exec.CatchCancel(&err)
-	return e.solveDelta(opt.exec(), ins, req, st)
-}
-
 func (e *Engine) solveDelta(cx *exec.Ctx, ins *onesided.Instance, req Request, st *DeltaState) (Outcome, error) {
 	if req.Mode != ModePopular || ins.Capacities != nil || !ins.CSR().Strict() {
 		// No warm route for this request shape; plain dispatch, state untouched.

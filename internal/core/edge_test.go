@@ -66,7 +66,7 @@ func TestEdgeCaseShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		res, err := Popular(ins, opt)
+		res, err := SolveRequest(ins, Request{Mode: ModePopular}, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -144,7 +144,7 @@ func TestSolverDeterministicAcrossWorkers(t *testing.T) {
 	}
 	// Larger instances: big enough that every loop takes the parallel path
 	// at 8 workers (the corpus instances are tiny). Six random strict ones,
-	// plus the ring and the chain (see switchRing): one long switching
+	// a tied one for the §V kernel, plus the ring and the chain (see switchRing): one long switching
 	// cycle, and one switching path that takes the cut lifting ladder to
 	// full depth. The rank-maximal weights of the ring and the chain carry
 	// n·log₂(n) bits each, too many at this size, so they run the int64
@@ -164,6 +164,8 @@ func TestSolverDeterministicAcrossWorkers(t *testing.T) {
 		// Those five have no popular matching; this one has.
 		cases = append(cases, large{"solvable", onesided.RandomStrict(rng, 6000, 6000, 1, 4),
 			[]Mode{ModePopular, ModeMaxCard, ModeRankMaximal}})
+		cases = append(cases, large{"ties", onesided.RandomTies(rng, 2000, 2000, 2, 6, 0.3),
+			[]Mode{ModeTies, ModeTiesMax}})
 		cases = append(cases,
 			large{"ring", switchRing(t, 5000, false), []Mode{ModePopular, ModeMaxCard}},
 			large{"chain", switchRing(t, 5000, true), []Mode{ModePopular, ModeMaxCard}})
@@ -214,7 +216,7 @@ func TestPeelingHandlesLastResortChains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Popular(ins, opt)
+	res, err := SolveRequest(ins, Request{Mode: ModePopular}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +242,7 @@ func TestHugeInstanceSmoke(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(152))
 	ins := onesided.RandomStrict(rng, 1_000_000, 1_000_000, 1, 4)
-	res, err := Popular(ins, Options{})
+	res, err := SolveRequest(ins, Request{Mode: ModePopular}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

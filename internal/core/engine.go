@@ -15,8 +15,8 @@ import (
 // of kernel.go, the §V ties kernel of tieskernel.go, and the big.Int pool of
 // the rank-maximal/fair weight arithmetic — owned by one Engine that lives
 // on the solve session's arena. Callers construct a Request instead of
-// picking an entry point; the historical entry points (Popular, SolveTies,
-// MaxCardinality, Optimize, ...) remain as thin wrappers.
+// picking an entry point: SolveRequest and its warm-start twin
+// SolveDeltaRequest (delta.go) are the package's only solve functions.
 
 // Request describes one solve: the mode, the optional weight function for
 // the weighted modes, and an optional recycled result matching.
@@ -29,9 +29,10 @@ type Request struct {
 	Weights WeightFn
 	// Into, when non-nil, is Reset and used as the result matching, so a
 	// caller looping over same-shaped solves recycles the result buffers
-	// (see PopularInto). On Exists=false or error its contents are
-	// unspecified. For capacitated instances it recycles the cloned-instance
-	// matching; the folded Assignment is always freshly allocated.
+	// (on an arena-backed context the steady state allocates nothing). On
+	// Exists=false or error its contents are unspecified. For capacitated
+	// instances it recycles the cloned-instance matching; the folded
+	// Assignment is always freshly allocated.
 	Into *onesided.Matching
 }
 
@@ -72,10 +73,8 @@ type Engine struct {
 	pow  powerCache
 }
 
-// NewEngine returns an Engine with its loop closures bound. Most callers
-// never construct one: SolveRequest fetches the session engine from the
-// execution context's arena automatically.
-func NewEngine() *Engine {
+// newEngine returns an Engine with its loop closures bound.
+func newEngine() *Engine {
 	e := &Engine{}
 	e.k.init()
 	e.ties.init()
@@ -88,12 +87,12 @@ func NewEngine() *Engine {
 func engineFor(cx *exec.Ctx) *Engine {
 	ar := cx.Arena()
 	if ar == nil {
-		return NewEngine()
+		return newEngine()
 	}
 	if e, ok := ar.Aux.(*Engine); ok {
 		return e
 	}
-	e := NewEngine()
+	e := newEngine()
 	ar.Aux = e
 	return e
 }
@@ -107,16 +106,9 @@ func SolveRequest(ins *onesided.Instance, req Request, opt Options) (out Outcome
 	return engineFor(cx).solve(cx, ins, req)
 }
 
-// Solve runs one Request on this Engine (rather than the context's session
-// engine); see SolveRequest.
-func (e *Engine) Solve(ins *onesided.Instance, req Request, opt Options) (out Outcome, err error) {
-	defer exec.CatchCancel(&err)
-	return e.solve(opt.exec(), ins, req)
-}
-
 // solve dispatches a request. Instances carrying a capacity vector route
-// through the clone reduction (matching the historical popmatch.Solver
-// routing); unit instances dispatch on mode and strictness.
+// through the clone reduction; unit instances dispatch on mode and
+// strictness.
 func (e *Engine) solve(cx *exec.Ctx, ins *onesided.Instance, req Request) (Outcome, error) {
 	if !req.Mode.Valid() {
 		return Outcome{}, fmt.Errorf("core: invalid mode %s", req.Mode)
@@ -127,7 +119,7 @@ func (e *Engine) solve(cx *exec.Ctx, ins *onesided.Instance, req Request) (Outco
 		if ins.Capacities != nil {
 			// Instances constructed with a capacity vector route through the
 			// clone reduction; inside, unit-capacity vectors dispatch on
-			// strictness exactly like the historical popmatch.Solver.
+			// strictness.
 			return e.solveCapacitated(cx, ins, maxcard, req.Into)
 		}
 		if req.Mode == ModeTies || req.Mode == ModeTiesMax {
@@ -135,7 +127,7 @@ func (e *Engine) solve(cx *exec.Ctx, ins *onesided.Instance, req Request) (Outco
 		}
 		// ModePopular/ModeMaxCard on plain instances keep Algorithm 1/3's
 		// strict-lists contract: tied lists are rejected (callers pick the
-		// ties modes explicitly), preserving the historical Solve semantics.
+		// ties modes explicitly).
 		if maxcard {
 			return e.optimize(cx, ins, cardinalityWeights(ins), true, req.Into)
 		}
@@ -186,9 +178,11 @@ func cardinalityWeights(ins *onesided.Instance) WeightFn {
 	}
 }
 
-// popularStrict is Algorithm 1 on the strict kernel (see PopularInto). The
-// release is deferred so a cancellation panic still returns the G′ arrays
-// to the pooled session's arena.
+// popularStrict is Algorithm 1 of the paper: it finds a popular matching of
+// a strictly-ordered instance or reports that none exists, in NC. A non-nil
+// into is Reset and used as the result matching. The release is deferred
+// so a cancellation panic still returns the G′ arrays to the pooled
+// session's arena.
 func (e *Engine) popularStrict(cx *exec.Ctx, ins *onesided.Instance, into *onesided.Matching) (Outcome, error) {
 	r, err := e.buildReduced(cx, ins)
 	if err != nil {
@@ -278,7 +272,10 @@ func (e *Engine) bigOptimize(cx *exec.Ctx, ins *onesided.Instance, w func(a, p i
 	return Outcome{Matching: res.Matching, Exists: true, Peel: res.Peel, Promotions: res.Promotions, Switch: stats}, nil
 }
 
-// rankMaximal finds a rank-maximal popular matching; see RankMaximal.
+// rankMaximal finds a rank-maximal popular matching: profile maximal under
+// ≻_R. Per §IV-E it is the maximum-weight popular matching with
+// w(a, p@rank k) = B^(n2−k+1) (0 for last resorts), B = n1+1 chosen so
+// positional sums never carry (the paper uses n1; any base > n1 works).
 func (e *Engine) rankMaximal(cx *exec.Ctx, ins *onesided.Instance, into *onesided.Matching) (Outcome, error) {
 	n2 := ins.NumPosts
 	pow := e.pow.table(int64(ins.NumApplicants)+1, n2+2)
@@ -292,7 +289,9 @@ func (e *Engine) rankMaximal(cx *exec.Ctx, ins *onesided.Instance, into *oneside
 	}, true, into)
 }
 
-// fair finds a fair popular matching; see Fair.
+// fair finds a fair popular matching: profile minimal under ≺_F. Per §IV-E
+// it is the minimum-weight popular matching with w(a, p@rank k) = B^k, where
+// a last-resort match counts at rank n2+1.
 func (e *Engine) fair(cx *exec.Ctx, ins *onesided.Instance, into *onesided.Matching) (Outcome, error) {
 	n2 := ins.NumPosts
 	pow := e.pow.table(int64(ins.NumApplicants)+1, n2+2)
@@ -305,10 +304,17 @@ func (e *Engine) fair(cx *exec.Ctx, ins *onesided.Instance, into *onesided.Match
 	}, false, into)
 }
 
-// solveCapacitated is the clone-reduction route (see SolveCapacitated):
-// unit-capacity instances bypass to the historical unit paths and wrap the
-// matching as an Assignment; capacitated ones solve the cached expansion
-// with the ties kernel and fold back.
+// solveCapacitated is the capacitated house allocation (CHA) route. The
+// capacitated popular matching problem reduces to the paper's unit-capacity
+// model by post cloning (onesided.Expand): post p of capacity c(p) becomes
+// c(p) tied unit posts, and the resulting instance, which has ties whenever
+// some capacity exceeds one, is solved with the §V ties kernel and folds
+// back to a many-to-one Assignment. The expansion is cached on the
+// instance, so repeat solves skip it. Unit-capacity vectors bypass the
+// reduction and run the unit path for their strictness (Algorithm 1 or 3,
+// or the ties kernel), so they return the same matching as an instance
+// without a vector; maximizeCardinality maximizes the number of applicants
+// on real posts among popular assignments.
 func (e *Engine) solveCapacitated(cx *exec.Ctx, ins *onesided.Instance, maximizeCardinality bool, into *onesided.Matching) (Outcome, error) {
 	if ins.UnitCapacity() {
 		var out Outcome

@@ -42,8 +42,8 @@ func engineCorpus() []*onesided.Instance {
 	return out
 }
 
-// modesFor lists the modes the pre-refactor entry points accepted for this
-// instance shape (the differential baseline must be defined on both sides).
+// modesFor lists the modes defined on this instance shape: capacitated
+// instances take the four clone-reduction modes, tied lists the ties modes.
 func modesFor(ins *onesided.Instance) []Mode {
 	if ins.Capacities != nil {
 		return []Mode{ModePopular, ModeMaxCard, ModeTies, ModeTiesMax}
@@ -54,73 +54,31 @@ func modesFor(ins *onesided.Instance) []Mode {
 	return Modes // every mode is defined on strict unit instances
 }
 
-// legacySolve answers through the historical entry points (Popular,
-// MaxCardinality, SolveTies, SolveCapacitated, Optimize, RankMaximal, Fair)
-// as a per-applicant post vector, existence flag included.
-func legacySolve(t *testing.T, ins *onesided.Instance, mode Mode, w WeightFn, opt Options) (bool, []int32) {
+// referenceSolve answers one mode on a fresh engine (opt carries no arena,
+// so every call builds new kernels and scratch) as a per-applicant post
+// vector, existence flag included; capacitated instances report the folded
+// assignment.
+func referenceSolve(t *testing.T, ins *onesided.Instance, mode Mode, w WeightFn, opt Options) (bool, []int32) {
 	t.Helper()
-	postOf := func(m *onesided.Matching) []int32 { return append([]int32(nil), m.PostOf...) }
+	out, err := SolveRequest(ins, Request{Mode: mode, Weights: w}, opt)
+	if err != nil {
+		t.Fatalf("reference %s: %v", mode, err)
+	}
+	if !out.Exists {
+		return false, nil
+	}
 	if ins.Capacities != nil {
-		res, err := SolveCapacitated(ins, mode == ModeMaxCard || mode == ModeTiesMax, opt)
-		if err != nil {
-			t.Fatalf("legacy capacitated %s: %v", mode, err)
-		}
-		if !res.Exists {
-			return false, nil
-		}
-		return true, append([]int32(nil), res.Assignment.PostOf...)
+		return true, append([]int32(nil), out.Assignment.PostOf...)
 	}
-	switch mode {
-	case ModePopular:
-		res, err := Popular(ins, opt)
-		if err != nil || !res.Exists {
-			return false, nil
-		}
-		return true, postOf(res.Matching)
-	case ModeMaxCard:
-		res, _, err := MaxCardinality(ins, opt)
-		if err != nil || !res.Exists {
-			return false, nil
-		}
-		return true, postOf(res.Matching)
-	case ModeTies, ModeTiesMax:
-		res, err := SolveTies(ins, mode == ModeTiesMax, opt)
-		if err != nil {
-			t.Fatalf("legacy ties %s: %v", mode, err)
-		}
-		if !res.Exists {
-			return false, nil
-		}
-		return true, postOf(res.Matching)
-	case ModeMaxWeight, ModeMinWeight:
-		res, _, err := Optimize(ins, w, mode == ModeMaxWeight, opt)
-		if err != nil || !res.Exists {
-			return false, nil
-		}
-		return true, postOf(res.Matching)
-	case ModeRankMaximal:
-		res, _, err := RankMaximal(ins, opt)
-		if err != nil || !res.Exists {
-			return false, nil
-		}
-		return true, postOf(res.Matching)
-	case ModeFair:
-		res, _, err := Fair(ins, opt)
-		if err != nil || !res.Exists {
-			return false, nil
-		}
-		return true, postOf(res.Matching)
-	}
-	t.Fatalf("unhandled mode %s", mode)
-	return false, nil
+	return true, append([]int32(nil), out.Matching.PostOf...)
 }
 
 // TestEngineDifferentialCorpus drives every mode of every corpus instance
 // through core.SolveRequest on ONE reused session engine (arena-cached
 // kernels, recycled scratch, a recycled Into matching) and asserts the
-// outcome is bit-identical to the pre-refactor entry points running on
-// fresh state. Each mode also runs twice on the reused engine, so scratch
-// pollution between modes or between solves would be caught.
+// outcome is bit-identical to a fresh engine's. Each mode also runs twice
+// on the reused engine, so scratch pollution between modes or between
+// solves would be caught.
 func TestEngineDifferentialCorpus(t *testing.T) {
 	pool := par.NewPool(1) // sequential: fully deterministic on both sides
 	defer pool.Close()
@@ -142,14 +100,14 @@ func TestEngineDifferentialCorpus(t *testing.T) {
 	for i, ins := range engineCorpus() {
 		w := weights(ins)
 		for _, mode := range modesFor(ins) {
-			wantExists, wantPostOf := legacySolve(t, ins, mode, w, fresh)
+			wantExists, wantPostOf := referenceSolve(t, ins, mode, w, fresh)
 			for round := 0; round < 2; round++ {
 				out, err := SolveRequest(ins, Request{Mode: mode, Weights: w, Into: &recycled}, reused)
 				if err != nil {
 					t.Fatalf("instance %d mode %s round %d: %v", i, mode, round, err)
 				}
 				if out.Exists != wantExists {
-					t.Fatalf("instance %d mode %s round %d: exists=%v, legacy=%v",
+					t.Fatalf("instance %d mode %s round %d: exists=%v, fresh=%v",
 						i, mode, round, out.Exists, wantExists)
 				}
 				if !out.Exists {
@@ -163,7 +121,7 @@ func TestEngineDifferentialCorpus(t *testing.T) {
 					}
 				}
 				if fmt.Sprint(got) != fmt.Sprint(wantPostOf) {
-					t.Fatalf("instance %d mode %s round %d: engine %v, legacy %v",
+					t.Fatalf("instance %d mode %s round %d: reused %v, fresh %v",
 						i, mode, round, got, wantPostOf)
 				}
 				if out.Matching != nil {
@@ -210,7 +168,7 @@ func TestEngineMaxWeightDefaultsToCardinality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mc, _, err := MaxCardinality(ins, Options{})
+		mc, err := SolveRequest(ins, Request{Mode: ModeMaxCard}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,12 +217,7 @@ func TestWeightedBigPoolParallelRounds(t *testing.T) {
 	cx := exec.New(exec.Config{Pool: pool, Arena: arena})
 	reused := Options{Exec: cx}
 	for _, mode := range []Mode{ModeRankMaximal, ModeFair} {
-		want, _, err := func() (Result, SwitchStats, error) {
-			if mode == ModeFair {
-				return Fair(ins, Options{Pool: pool})
-			}
-			return RankMaximal(ins, Options{Pool: pool})
-		}()
+		want, err := SolveRequest(ins, Request{Mode: mode}, Options{Pool: pool})
 		if err != nil || !want.Exists {
 			t.Fatalf("%s baseline: exists=%v err=%v", mode, want.Exists, err)
 		}

@@ -22,7 +22,7 @@ func FuzzPopularDifferential(f *testing.F) {
 		if ins == nil {
 			return
 		}
-		res, err := Popular(ins, Options{})
+		res, err := SolveRequest(ins, Request{Mode: ModePopular}, Options{})
 		if err != nil {
 			t.Fatalf("parallel solver errored: %v", err)
 		}

@@ -17,10 +17,10 @@ import (
 // the best margin — computed here with weighted pointer jumping — and
 // applies all positive choices in parallel.
 //
-// The public functions are thin wrappers over the unified Engine (see
-// engine.go); the optimizer below recycles its vertex-sized buffers through
-// the weight-ops allocation hooks (arena scratch for int64, the engine's
-// big.Int pool for the positional profile weights).
+// The engine (engine.go) runs it for the weighted modes; the optimizer below
+// recycles its vertex-sized buffers through the weight-ops allocation hooks
+// (arena scratch for int64, the engine's big.Int pool for the positional
+// profile weights).
 
 // WeightFn assigns a weight to matching applicant a with post p (p may be
 // a's last resort). Weights must be small enough that path sums over n
@@ -227,49 +227,6 @@ func edgeWeights[T any](sw *Switching, w func(a, p int32) T, sub func(x, y T) T,
 	})
 	cx.Round(nv)
 	return out
-}
-
-// resultOf projects an engine Outcome onto the historical Result shape.
-func resultOf(out Outcome) Result {
-	return Result{Matching: out.Matching, Exists: out.Exists, Peel: out.Peel, Promotions: out.Promotions}
-}
-
-// Optimize finds a popular matching maximizing (or minimizing) the total
-// weight Σ w(a, M(a)) over all popular matchings, per §IV-E. It returns
-// Exists=false when the instance has no popular matching.
-func Optimize(ins *onesided.Instance, w WeightFn, maximize bool, opt Options) (res Result, st SwitchStats, err error) {
-	defer exec.CatchCancel(&err)
-	cx := opt.exec()
-	out, err := engineFor(cx).optimize(cx, ins, w, maximize, nil)
-	return resultOf(out), out.Switch, err
-}
-
-// MaxCardinality is Algorithm 3: a largest popular matching, obtained as the
-// special case of maximum-weight popular matching with weight 0 for
-// last-resort pairs and 1 otherwise (§IV-E).
-func MaxCardinality(ins *onesided.Instance, opt Options) (Result, SwitchStats, error) {
-	return Optimize(ins, cardinalityWeights(ins), true, opt)
-}
-
-// RankMaximal finds a rank-maximal popular matching: profile maximal under
-// ≻_R. Per §IV-E it is the maximum-weight popular matching with
-// w(a, p@rank k) = B^(n2−k+1) (0 for last resorts), B = n1+1 chosen so
-// positional sums never carry (the paper uses n1; any base > n1 works).
-func RankMaximal(ins *onesided.Instance, opt Options) (res Result, st SwitchStats, err error) {
-	defer exec.CatchCancel(&err)
-	cx := opt.exec()
-	out, err := engineFor(cx).rankMaximal(cx, ins, nil)
-	return resultOf(out), out.Switch, err
-}
-
-// Fair finds a fair popular matching: profile minimal under ≺_F. Per §IV-E
-// it is the minimum-weight popular matching with w(a, p@rank k) = B^k, where
-// a last-resort match counts at rank n2+1.
-func Fair(ins *onesided.Instance, opt Options) (res Result, st SwitchStats, err error) {
-	defer exec.CatchCancel(&err)
-	cx := opt.exec()
-	out, err := engineFor(cx).fair(cx, ins, nil)
-	return resultOf(out), out.Switch, err
 }
 
 func powerTable(base *big.Int, n int) []*big.Int {

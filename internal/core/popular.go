@@ -21,7 +21,8 @@ var (
 	errBadPromotion = errors.New("core: promotion source not matched to its s-post")
 )
 
-// Result is the outcome of a popular-matching computation.
+// Result is the outcome of a popular-matching computation outside the
+// engine: PopularViaMatching and the counting and enumeration paths.
 type Result struct {
 	// Matching is the computed matching, nil when Exists is false.
 	Matching *onesided.Matching
@@ -32,24 +33,6 @@ type Result struct {
 	Peel PeelStats
 	// Promotions counts the f-posts filled in Algorithm 1's final loop.
 	Promotions int
-}
-
-// Popular runs Algorithm 1 of the paper: it finds a popular matching of a
-// strictly-ordered instance or reports that none exists, in NC.
-func Popular(ins *onesided.Instance, opt Options) (Result, error) {
-	return PopularInto(ins, nil, opt)
-}
-
-// PopularInto is Popular with matching reuse: when m is non-nil it is Reset
-// and used as the result matching, so a caller recycling the matching of a
-// previous solve (and running on an arena-backed execution context) performs
-// no heap allocation in the steady state. m must not be in use elsewhere; on
-// Exists=false or error its contents are unspecified.
-func PopularInto(ins *onesided.Instance, m *onesided.Matching, opt Options) (res Result, err error) {
-	defer exec.CatchCancel(&err)
-	cx := opt.exec()
-	out, err := engineFor(cx).popularStrict(cx, ins, m)
-	return resultOf(out), err
 }
 
 func popularFromReduced(r *Reduced, opt Options) (Result, error) {

@@ -53,7 +53,7 @@ func TestPaperFigure1Reduction(t *testing.T) {
 func TestPaperFigure1PopularMatching(t *testing.T) {
 	ins := onesided.PaperFigure1()
 	for _, opt := range optPools() {
-		res, err := Popular(ins, opt)
+		res, err := SolveRequest(ins, Request{Mode: ModePopular}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestPopularDifferentialSmall(t *testing.T) {
 	opt := Options{Pool: par.NewPool(0)}
 	for trial := 0; trial < 300; trial++ {
 		ins := onesided.RandomSmall(rng, 6, 6, false)
-		res, err := Popular(ins, opt)
+		res, err := SolveRequest(ins, Request{Mode: ModePopular}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestPopularDifferentialMedium(t *testing.T) {
 		n2 := 10 + rng.Intn(200)
 		ins := onesided.RandomStrict(rng, n1, n2, 1, 8)
 		for _, opt := range optPools() {
-			res, err := Popular(ins, opt)
+			res, err := SolveRequest(ins, Request{Mode: ModePopular}, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,7 +181,7 @@ func TestPopularSolvableFamily(t *testing.T) {
 	opt := Options{}
 	for trial := 0; trial < 20; trial++ {
 		ins := onesided.Solvable(rng, 5+rng.Intn(100), 3+rng.Intn(20), 4)
-		res, err := Popular(ins, opt)
+		res, err := SolveRequest(ins, Request{Mode: ModePopular}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func TestPopularSolvableFamily(t *testing.T) {
 func TestPopularUnsolvableFamily(t *testing.T) {
 	opt := Options{}
 	for k := 1; k <= 6; k++ {
-		res, err := Popular(onesided.Unsolvable(k), opt)
+		res, err := SolveRequest(onesided.Unsolvable(k), Request{Mode: ModePopular}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +213,7 @@ func TestLemma2RoundBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
 	opt := Options{}
 	check := func(name string, ins *onesided.Instance) {
-		res, err := Popular(ins, opt)
+		res, err := SolveRequest(ins, Request{Mode: ModePopular}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func TestBinaryBroomForcesDepthRounds(t *testing.T) {
 	opt := Options{}
 	for depth := 2; depth <= 8; depth++ {
 		ins := onesided.BinaryBroom(depth)
-		res, err := Popular(ins, opt)
+		res, err := SolveRequest(ins, Request{Mode: ModePopular}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +290,7 @@ func TestPopularEmptyInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Popular(ins, Options{})
+	res, err := SolveRequest(ins, Request{Mode: ModePopular}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestPopularEmptyInstance(t *testing.T) {
 
 func TestPopularSingleApplicant(t *testing.T) {
 	ins, _ := onesided.NewStrict(2, [][]int32{{0, 1}})
-	res, err := Popular(ins, Options{})
+	res, err := SolveRequest(ins, Request{Mode: ModePopular}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestPopularAllSameList(t *testing.T) {
 	// 4-cycle a0-p0-a1-p1; both assignments are popular.
 	ins, _ := onesided.NewStrict(2, [][]int32{{0, 1}, {0, 1}})
 	opt := Options{}
-	res, err := Popular(ins, opt)
+	res, err := SolveRequest(ins, Request{Mode: ModePopular}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestPopularAllSameList(t *testing.T) {
 	}
 	// Three applicants over the same two posts: unsolvable.
 	ins3, _ := onesided.NewStrict(2, [][]int32{{0, 1}, {0, 1}, {0, 1}})
-	res3, err := Popular(ins3, opt)
+	res3, err := SolveRequest(ins3, Request{Mode: ModePopular}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestTracerRoundsPolylog(t *testing.T) {
 	for _, n := range []int{100, 1000, 10000} {
 		ins := onesided.RandomStrict(rng, n, n, 1, 6)
 		var tr par.Tracer
-		if _, err := Popular(ins, Options{Tracer: &tr}); err != nil {
+		if _, err := SolveRequest(ins, Request{Mode: ModePopular}, Options{Tracer: &tr}); err != nil {
 			t.Fatal(err)
 		}
 		log2 := par.Iterations(2 * n)

@@ -218,7 +218,7 @@ func TestMaxCardinalityAgainstBruteForce(t *testing.T) {
 	opt := Options{}
 	for trial := 0; trial < 200; trial++ {
 		ins := onesided.RandomSmall(rng, 6, 6, false)
-		res, _, err := MaxCardinality(ins, opt)
+		res, err := SolveRequest(ins, Request{Mode: ModeMaxCard}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func TestMaxCardinalityAgainstSequential(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		ins := onesided.RandomStrict(rng, 20+rng.Intn(150), 10+rng.Intn(100), 1, 6)
 		for _, opt := range optPools() {
-			res, _, err := MaxCardinality(ins, opt)
+			res, err := SolveRequest(ins, Request{Mode: ModeMaxCard}, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -276,14 +276,14 @@ func TestMaxCardinalityNeverSmallerThanArbitrary(t *testing.T) {
 	opt := Options{}
 	for trial := 0; trial < 60; trial++ {
 		ins := onesided.RandomStrict(rng, 10+rng.Intn(60), 5+rng.Intn(40), 1, 5)
-		plain, err := Popular(ins, opt)
+		plain, err := SolveRequest(ins, Request{Mode: ModePopular}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !plain.Exists {
 			continue
 		}
-		mc, _, err := MaxCardinality(ins, opt)
+		mc, err := SolveRequest(ins, Request{Mode: ModeMaxCard}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -360,7 +360,7 @@ func TestFairIsMaximumCardinality(t *testing.T) {
 	opt := Options{}
 	for trial := 0; trial < 60; trial++ {
 		ins := onesided.RandomStrict(rng, 5+rng.Intn(40), 3+rng.Intn(30), 1, 5)
-		fair, _, err := Fair(ins, opt)
+		fair, err := SolveRequest(ins, Request{Mode: ModeFair}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,7 +370,7 @@ func TestFairIsMaximumCardinality(t *testing.T) {
 		if err := VerifyPopular(ins, fair.Matching, opt); err != nil {
 			t.Fatalf("fair output not popular: %v", err)
 		}
-		mc, _, err := MaxCardinality(ins, opt)
+		mc, err := SolveRequest(ins, Request{Mode: ModeMaxCard}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -386,11 +386,11 @@ func TestRankMaximalAndFairOptimalAmongAllPopular(t *testing.T) {
 	opt := Options{}
 	for trial := 0; trial < 120; trial++ {
 		ins := onesided.RandomSmall(rng, 6, 6, false)
-		rm, _, err := RankMaximal(ins, opt)
+		rm, err := SolveRequest(ins, Request{Mode: ModeRankMaximal}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fair, _, err := Fair(ins, opt)
+		fair, err := SolveRequest(ins, Request{Mode: ModeFair}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -436,7 +436,7 @@ func TestOptimizeCustomWeights(t *testing.T) {
 	for trial := 0; trial < 80; trial++ {
 		ins := onesided.RandomSmall(rng, 6, 6, false)
 		w := weight(ins)
-		res, _, err := Optimize(ins, w, true, opt)
+		res, err := SolveRequest(ins, Request{Mode: ModeMaxWeight, Weights: w}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -462,7 +462,7 @@ func TestOptimizeCustomWeights(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got != best {
-			t.Fatalf("trial %d: Optimize got %d, best popular is %d", trial, got, best)
+			t.Fatalf("trial %d: maxweight got %d, best popular is %d", trial, got, best)
 		}
 	}
 }
@@ -472,7 +472,7 @@ func TestMaxCardinalityMatchesEnumerationOptimum(t *testing.T) {
 	opt := Options{}
 	for trial := 0; trial < 100; trial++ {
 		ins := onesided.RandomSmall(rng, 6, 6, false)
-		res, _, err := MaxCardinality(ins, opt)
+		res, err := SolveRequest(ins, Request{Mode: ModeMaxCard}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,35 +29,7 @@ import (
 // optimum reaches |maximum matching of G1|.
 //
 // The implementation lives in tieskernel.go as an arena-resident kernel on
-// the unified Engine; this entry point is kept as a thin wrapper.
-
-// TiesResult reports a ties computation.
-type TiesResult struct {
-	Matching *onesided.Matching
-	Exists   bool
-	// Rank1Size is |M ∩ E1|; MaxRank1 the size of a maximum matching of G1.
-	Rank1Size, MaxRank1 int
-}
-
-// SolveTies finds a popular matching of an instance whose lists may contain
-// ties, or reports that none exists. maximizeCardinality additionally makes
-// the result a maximum-cardinality popular matching (fewest last resorts).
-// Capacities on ins are ignored (callers route capacitated instances through
-// SolveCapacitated / the engine's clone reduction).
-func (e *Engine) SolveTies(ins *onesided.Instance, maximizeCardinality bool, opt Options) (res TiesResult, err error) {
-	defer exec.CatchCancel(&err)
-	out, err := e.solveTies(opt.exec(), ins, maximizeCardinality, nil)
-	return TiesResult{Matching: out.Matching, Exists: out.Exists, Rank1Size: out.Rank1Size, MaxRank1: out.MaxRank1}, err
-}
-
-// SolveTies is the package-level form of Engine.SolveTies, running on the
-// session engine of opt's execution context.
-func SolveTies(ins *onesided.Instance, maximizeCardinality bool, opt Options) (res TiesResult, err error) {
-	defer exec.CatchCancel(&err)
-	cx := opt.exec()
-	out, err := engineFor(cx).solveTies(cx, ins, maximizeCardinality, nil)
-	return TiesResult{Matching: out.Matching, Exists: out.Exists, Rank1Size: out.Rank1Size, MaxRank1: out.MaxRank1}, err
-}
+// the unified Engine (ModeTies and ModeTiesMax).
 
 // MaxMatchingViaPopular is Theorem 11's reduction: it computes a
 // maximum-cardinality matching of an arbitrary bipartite graph by building
@@ -96,7 +68,7 @@ func MaxMatchingViaPopular(g *bipartite.Graph, opt Options) (matchL []int32, siz
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: reduction instance invalid: %w", err)
 	}
-	res, err := SolveTies(ins, true, opt)
+	res, err := SolveRequest(ins, Request{Mode: ModeTiesMax}, opt)
 	if err != nil {
 		return nil, 0, err
 	}

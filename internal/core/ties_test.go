@@ -13,13 +13,13 @@ func TestSolveTiesDifferentialBruteForce(t *testing.T) {
 	opt := Options{}
 	for trial := 0; trial < 250; trial++ {
 		ins := onesided.RandomSmall(rng, 5, 5, true)
-		res, err := SolveTies(ins, false, opt)
+		res, err := SolveRequest(ins, Request{Mode: ModeTies}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		brute := onesided.AllPopularBrute(ins)
 		if res.Exists != (len(brute) > 0) {
-			t.Fatalf("trial %d: SolveTies exists=%v, brute=%d popular matchings",
+			t.Fatalf("trial %d: ties exists=%v, brute=%d popular matchings",
 				trial, res.Exists, len(brute))
 		}
 		if res.Exists {
@@ -41,7 +41,7 @@ func TestSolveTiesMaxCardinalityDifferential(t *testing.T) {
 	opt := Options{}
 	for trial := 0; trial < 200; trial++ {
 		ins := onesided.RandomSmall(rng, 5, 5, true)
-		res, err := SolveTies(ins, true, opt)
+		res, err := SolveRequest(ins, Request{Mode: ModeTiesMax}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,11 +66,11 @@ func TestSolveTiesAgreesWithStrictSolver(t *testing.T) {
 	opt := Options{}
 	for trial := 0; trial < 80; trial++ {
 		ins := onesided.RandomStrict(rng, 5+rng.Intn(60), 3+rng.Intn(40), 1, 5)
-		strict, err := Popular(ins, opt)
+		strict, err := SolveRequest(ins, Request{Mode: ModePopular}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ties, err := SolveTies(ins, false, opt)
+		ties, err := SolveRequest(ins, Request{Mode: ModeTies}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestSolveTiesAllRankOneAlwaysExists(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := SolveTies(ins, true, opt)
+		res, err := SolveRequest(ins, Request{Mode: ModeTiesMax}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +222,7 @@ func TestSolveTiesEmptyInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SolveTies(ins, false, Options{})
+	res, err := SolveRequest(ins, Request{Mode: ModeTies}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestSolveTiesEmptyInstance(t *testing.T) {
 func TestSolveTiesKnownUnsolvable(t *testing.T) {
 	// The classic 3-over-2 instance is unsolvable with or without ties
 	// machinery.
-	res, err := SolveTies(onesided.Unsolvable(2), false, Options{})
+	res, err := SolveRequest(onesided.Unsolvable(2), Request{Mode: ModeTies}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // the engine and is recycled across solves, so a reused solver's ties (and
 // hence capacitated) solves stop rebuilding a bipartite.Graph and
 // re-make-ing the O(n·total) weight rows on every call. The computation is
-// exactly the one documented on SolveTies; only the memory discipline
+// exactly the one documented in ties.go; only the memory discipline
 // changes, and the results are bit-identical.
 type tiesKernel struct {
 	gb   bipartite.Builder
@@ -115,10 +115,10 @@ func (tk *tiesKernel) sEdgeWeight(p int32) int64 {
 }
 
 // solveTies finds a popular matching of an instance whose lists may contain
-// ties, per the AIKM characterization (see the package comment on
-// SolveTies). into, when non-nil, is Reset and reused as the result
-// matching. Capacities on ins are ignored (the capacitated route expands
-// first); the engine's dispatch handles that routing.
+// ties, per the AIKM characterization (see the comment in ties.go). into,
+// when non-nil, is Reset and reused as the result matching. Capacities on
+// ins are ignored (the capacitated route expands first); the engine's
+// dispatch handles that routing.
 func (e *Engine) solveTies(cx *exec.Ctx, ins *onesided.Instance, maximizeCardinality bool, into *onesided.Matching) (Outcome, error) {
 	tk := &e.ties
 	c := ins.CSR()

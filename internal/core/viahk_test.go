@@ -16,7 +16,7 @@ func TestPopularViaMatchingDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaAlg2, err := Popular(ins, opt)
+		viaAlg2, err := SolveRequest(ins, Request{Mode: ModePopular}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func TestPopularViaMatchingMedium(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaAlg2, err := Popular(ins, opt)
+		viaAlg2, err := SolveRequest(ins, Request{Mode: ModePopular}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

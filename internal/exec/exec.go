@@ -22,7 +22,7 @@
 // inside worker goroutines). Public entry points convert it back into the
 // context's error with
 //
-//	func Solve(...) (res Result, err error) {
+//	func SolveRequest(...) (out Outcome, err error) {
 //	    defer exec.CatchCancel(&err)
 //	    ...
 //	}

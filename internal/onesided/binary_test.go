@@ -180,6 +180,9 @@ func TestBinaryReadStreamAndAuto(t *testing.T) {
 			t.Fatalf("%s: ReadBinary: %v", name, err)
 		}
 		instancesEqual(t, name, ins, got)
+		if got.Fingerprint() != ins.Fingerprint() {
+			t.Fatalf("%s: ReadBinary fingerprint differs from the source's", name)
+		}
 
 		// Auto-detection: binary bytes and text bytes through the same door.
 		got, err = ReadAuto(bytes.NewReader(data))
@@ -373,4 +376,32 @@ func TestReadLineTooLongContext(t *testing.T) {
 	if !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("error loses the line number: %v", err)
 	}
+}
+
+// BenchmarkIngest prices the text parser against the aliasing binary decode
+// on one n = 10⁵ instance (about 500k edges). CI requires binary_alias to
+// be at least 5x faster than text.
+func BenchmarkIngest(b *testing.B) {
+	ins := Solvable(rand.New(rand.NewSource(7)), 100_000, 25_000, 5)
+	var text bytes.Buffer
+	if err := Write(&text, ins); err != nil {
+		b.Fatal(err)
+	}
+	bin := EncodeBinary(nil, ins.CSR())
+	b.Run("text", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Read(bytes.NewReader(text.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("binary_alias", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := DecodeBinary(bin); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -169,6 +169,9 @@ func (d *dupSet) mark(p, stamp int32) bool {
 // Instance.Validate so a CSR accepted here converts to a Validate-clean
 // Instance and vice versa.
 func (c *CSR) Validate() error {
+	if c.NumPosts < 0 {
+		return fmt.Errorf("onesided: negative post count %d", c.NumPosts)
+	}
 	if len(c.Off) != c.NumApplicants+1 {
 		return fmt.Errorf("onesided: CSR with %d applicants has %d offsets", c.NumApplicants, len(c.Off))
 	}

@@ -39,6 +39,7 @@ func TestValidateErrorPaths(t *testing.T) {
 		{"capacity count mismatch", func(ins *Instance) { ins.Capacities = []int32{1} }, "3 posts but 1 capacities"},
 		{"zero capacity", func(ins *Instance) { ins.Capacities = []int32{1, 0, 1} }, "capacity 0"},
 		{"negative capacity", func(ins *Instance) { ins.Capacities = []int32{1, 1, -2} }, "capacity -2"},
+		{"negative post count", func(ins *Instance) { ins.NumPosts = -1 }, "negative post count"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -55,6 +56,16 @@ func TestValidateErrorPaths(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
 			}
 		})
+	}
+}
+
+// TestCSRValidateNegativePosts pins that a negative post count is an error
+// of the flat form too, not a makeslice panic in the duplicate check.
+func TestCSRValidateNegativePosts(t *testing.T) {
+	c := BuildCSR(PaperFigure1())
+	c.NumPosts = -1
+	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "negative post count") {
+		t.Fatalf("negative post count: %v", err)
 	}
 }
 

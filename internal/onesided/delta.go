@@ -9,7 +9,7 @@ import "fmt"
 // cache wholesale), they patch the cached CSR form, rank maps and row
 // digests in place, keep CSR.Strict() exact via a tied-row counter, bump a
 // monotonic mutation epoch, and journal the edit so a warm-started solver
-// (core.Engine.SolveDelta) can ask which rows changed since the matching it
+// (core.SolveDeltaRequest) can ask which rows changed since the matching it
 // holds was computed (DirtySince).
 //
 // # Concurrency

@@ -95,6 +95,9 @@ func NewWithTies(numPosts int, lists [][]int32, ranks [][]int32) (*Instance, err
 // when a tiny input declares a huge one — so validating a large instance is
 // a pair of linear passes and memory never exceeds the input size.
 func (ins *Instance) Validate() error {
+	if ins.NumPosts < 0 {
+		return fmt.Errorf("onesided: negative post count %d", ins.NumPosts)
+	}
 	if len(ins.Lists) != ins.NumApplicants || len(ins.Ranks) != ins.NumApplicants {
 		return fmt.Errorf("onesided: %d applicants but %d lists / %d rank rows",
 			ins.NumApplicants, len(ins.Lists), len(ins.Ranks))

@@ -3,6 +3,8 @@ package serve
 import (
 	"container/list"
 	"sync"
+
+	"repro/popmatch"
 )
 
 // cacheKey identifies a cached solve outcome: the instance's content
@@ -13,7 +15,7 @@ import (
 // (registered snapshots are immutable and always use epoch 0).
 type cacheKey struct {
 	id    string
-	mode  Mode
+	mode  popmatch.Mode
 	epoch uint64
 }
 

@@ -65,7 +65,7 @@ func (ft *flightTable) close() {
 // already solving that key or starts one, then waits for the flight's
 // result or for ctx to end. Starting a flight that would leave more than
 // MaxQueue flights waiting for a solve slot fails with ErrOverloaded.
-func (s *Server) solveShared(ctx context.Context, snap *Snapshot, mode Mode) (*Outcome, error) {
+func (s *Server) solveShared(ctx context.Context, snap *Snapshot, mode popmatch.Mode) (*Outcome, error) {
 	key := cacheKey{id: snap.ID, mode: mode}
 	ft := &s.flights
 	ft.mu.Lock()

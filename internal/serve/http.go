@@ -319,7 +319,7 @@ func NewHandler(s *Server) http.Handler {
 			writeError(w, r, http.StatusBadRequest, err)
 			return
 		}
-		mode, err := ParseMode(req.Mode)
+		mode, err := popmatch.ParseMode(req.Mode)
 		if err != nil {
 			writeError(w, r, http.StatusBadRequest, err)
 			return
@@ -400,7 +400,7 @@ func NewHandler(s *Server) http.Handler {
 			writeError(w, r, http.StatusBadRequest, err)
 			return
 		}
-		mode, err := ParseMode(req.Mode)
+		mode, err := popmatch.ParseMode(req.Mode)
 		if err != nil {
 			writeError(w, r, http.StatusBadRequest, err)
 			return

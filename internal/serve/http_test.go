@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/onesided"
+	"repro/popmatch"
 )
 
 // httpServer spins a Server behind httptest and returns a tiny JSON client.
@@ -70,7 +71,7 @@ func (h *httpClient) upload(ins *onesided.Instance) instanceInfo {
 	return info
 }
 
-func (h *httpClient) solve(id string, mode Mode) (solveResponse, int) {
+func (h *httpClient) solve(id string, mode popmatch.Mode) (solveResponse, int) {
 	h.t.Helper()
 	body, _ := json.Marshal(solveRequest{Instance: id, Mode: mode.String()})
 	var out solveResponse
@@ -111,8 +112,8 @@ func TestHTTPEndToEnd(t *testing.T) {
 	// Solve each flavor and verify the answers over HTTP.
 	for _, tc := range []struct {
 		id   string
-		mode Mode
-	}{{strict.ID, ModePopular}, {ties.ID, ModeTiesMax}, {capIns.ID, ModeMaxCard}} {
+		mode popmatch.Mode
+	}{{strict.ID, popmatch.ModePopular}, {ties.ID, popmatch.ModeTiesMax}, {capIns.ID, popmatch.ModeMaxCard}} {
 		out, st := h.solve(tc.id, tc.mode)
 		if st != http.StatusOK {
 			t.Fatalf("solve %s/%s: status %d", tc.id, tc.mode, st)
@@ -131,13 +132,13 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 
 	// Repeat solve is served from cache.
-	out, _ := h.solve(strict.ID, ModePopular)
+	out, _ := h.solve(strict.ID, popmatch.ModePopular)
 	if !out.Cached {
 		t.Fatal("repeat solve not served from cache")
 	}
 
 	// Capacitated solve carries rosters and they respect capacities.
-	capOut, _ := h.solve(capIns.ID, ModeMaxCard)
+	capOut, _ := h.solve(capIns.ID, popmatch.ModeMaxCard)
 	if capOut.Exists && len(capOut.AssignedTo) != capIns.Posts {
 		t.Fatalf("capacitated response has %d rosters for %d posts", len(capOut.AssignedTo), capIns.Posts)
 	}
@@ -158,7 +159,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if st := h.do("DELETE", "/v1/instances/"+ties.ID, "", nil, nil); st != http.StatusOK {
 		t.Fatalf("evict: %d", st)
 	}
-	if _, st := h.solve(ties.ID, ModeTies); st != http.StatusNotFound {
+	if _, st := h.solve(ties.ID, popmatch.ModeTies); st != http.StatusNotFound {
 		t.Fatalf("solve of evicted instance: %d, want 404", st)
 	}
 	if st := h.do("DELETE", "/v1/instances/"+ties.ID, "", nil, nil); st != http.StatusNotFound {
@@ -194,7 +195,7 @@ func TestHTTPErrorMapping(t *testing.T) {
 	// Unsupported mode for the instance shape → 422.
 	rng := rand.New(rand.NewSource(5))
 	ties := h.upload(onesided.RandomTies(rng, 10, 8, 1, 3, 0.6))
-	if _, st := h.solve(ties.ID, ModePopular); st != http.StatusUnprocessableEntity {
+	if _, st := h.solve(ties.ID, popmatch.ModePopular); st != http.StatusUnprocessableEntity {
 		t.Fatalf("strict solve of tied instance: %d, want 422", st)
 	}
 	// Structurally invalid verify → 422.
@@ -224,7 +225,7 @@ func TestHTTPConcurrentLoadBatches(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < 6; i++ {
-				if _, st := h.solve(ids[(c+i)%len(ids)], ModePopular); st != http.StatusOK {
+				if _, st := h.solve(ids[(c+i)%len(ids)], popmatch.ModePopular); st != http.StatusOK {
 					t.Errorf("client %d: status %d", c, st)
 					return
 				}
@@ -253,7 +254,7 @@ func TestHTTPLastResortWireConvention(t *testing.T) {
 		t.Fatal(err)
 	}
 	info := h.upload(ins)
-	out, st := h.solve(info.ID, ModePopular)
+	out, st := h.solve(info.ID, popmatch.ModePopular)
 	if st != http.StatusOK || !out.Exists {
 		t.Fatalf("solve: %d exists=%v", st, out.Exists)
 	}
@@ -284,7 +285,7 @@ func TestHTTPUnifiedModeSet(t *testing.T) {
 	strict := h.upload(onesided.Solvable(rng, 30, 8, 4))
 	capIns := h.upload(onesided.RandomCapacitated(rng, 20, 8, 2, 4, 3))
 
-	for _, mode := range []Mode{ModeRankMaximal, ModeFair, ModeMaxWeight, ModeMinWeight} {
+	for _, mode := range []popmatch.Mode{popmatch.ModeRankMaximal, popmatch.ModeFair, popmatch.ModeMaxWeight, popmatch.ModeMinWeight} {
 		out, st := h.solve(strict.ID, mode)
 		if st != http.StatusOK {
 			t.Fatalf("solve %s: status %d", mode, st)
@@ -321,7 +322,7 @@ func TestHTTPUnifiedModeSet(t *testing.T) {
 	}
 
 	// Weighted modes have no capacitated route: the request's fault, 422.
-	if _, st := h.solve(capIns.ID, ModeMaxWeight); st != http.StatusUnprocessableEntity {
+	if _, st := h.solve(capIns.ID, popmatch.ModeMaxWeight); st != http.StatusUnprocessableEntity {
 		t.Fatalf("maxweight on capacitated instance: %d, want 422", st)
 	}
 }

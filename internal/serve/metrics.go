@@ -31,14 +31,14 @@ type serverMetrics struct {
 
 	// mode counts kernel solves by solve mode, one series per mode of the
 	// shared engine enum.
-	mode map[Mode]*obs.Counter
+	mode map[popmatch.Mode]*obs.Counter
 }
 
 // newServerMetrics builds and registers the metric surface of s. Called once
 // from New before any request; the gauges close over the server's
 // tables, so they report live values at exposition time.
 func newServerMetrics(s *Server) *serverMetrics {
-	m := &serverMetrics{mode: make(map[Mode]*obs.Counter, len(Modes))}
+	m := &serverMetrics{mode: make(map[popmatch.Mode]*obs.Counter, len(popmatch.Modes))}
 	r := &m.reg
 	st := &s.stats
 
@@ -74,7 +74,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.flush = r.Histogram("popserved_batch_flush_duration_seconds",
 		"Time from a solve flight's start to its result: solve-slot wait plus solve.", 1e-9)
 
-	for _, md := range Modes {
+	for _, md := range popmatch.Modes {
 		m.mode[md] = r.Counter(fmt.Sprintf("popserved_mode_solves_total{mode=%q}", md.String()),
 			"Kernel solves by solve mode.")
 	}
@@ -89,7 +89,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 
 // modeSolve counts n kernel solves against mode's series. Unknown modes
 // (rejected by the engine before solving anyway) count nowhere.
-func (m *serverMetrics) modeSolve(mode Mode, n int64) {
+func (m *serverMetrics) modeSolve(mode popmatch.Mode, n int64) {
 	if c, ok := m.mode[mode]; ok {
 		c.Add(n)
 	}
@@ -116,7 +116,7 @@ func (s *Server) SolveLatency() obs.HistSnapshot {
 // requests bypass the result cache in both directions and never share a
 // flight — a cached or shared answer has no solve of its own to trace — so
 // the reported trace always reflects a real solve of exactly this request.
-func (s *Server) SolveTraced(ctx context.Context, id string, mode Mode, tr *popmatch.SolveTrace) (*Outcome, error) {
+func (s *Server) SolveTraced(ctx context.Context, id string, mode popmatch.Mode, tr *popmatch.SolveTrace) (*Outcome, error) {
 	snap, ok := s.registry.Get(id)
 	if !ok {
 		return nil, ErrUnknownInstance

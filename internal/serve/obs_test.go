@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/onesided"
+	"repro/popmatch"
 )
 
 // syncWriter serializes handler writes against the test's read.
@@ -78,10 +79,10 @@ func TestStatsSnapshotKeys(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	_, h := newHTTPServer(t, Config{})
 	info := h.upload(onesided.Solvable(rand.New(rand.NewSource(11)), 200, 51, 4))
-	if _, st := h.solve(info.ID, ModePopular); st != http.StatusOK {
+	if _, st := h.solve(info.ID, popmatch.ModePopular); st != http.StatusOK {
 		t.Fatalf("solve status %d", st)
 	}
-	if _, st := h.solve(info.ID, ModePopular); st != http.StatusOK { // cache hit
+	if _, st := h.solve(info.ID, popmatch.ModePopular); st != http.StatusOK { // cache hit
 		t.Fatalf("repeat solve status %d", st)
 	}
 
@@ -155,7 +156,7 @@ func TestSolveTraceHTTP(t *testing.T) {
 	}
 	// An untraced solve does not reuse a trace-path result: the cache was
 	// bypassed in both directions.
-	if res, st := h.solve(info.ID, ModePopular); st != http.StatusOK || res.Cached {
+	if res, st := h.solve(info.ID, popmatch.ModePopular); st != http.StatusOK || res.Cached {
 		t.Fatalf("solve after traced solve: status %d cached %v (traced requests must bypass the cache)", st, res.Cached)
 	}
 	if got := s.stats.Solves.Load(); got != 2 {

@@ -37,47 +37,6 @@ import (
 	"repro/popmatch"
 )
 
-// Mode selects the solve surface for a request: the shared engine enum,
-// re-exported so every layer (core, popmatch, serve, the CLIs) speaks the
-// same mode set. All eight modes are servable; the weighted modes use the
-// built-in cardinality weights (no weight upload needed) and reject
-// capacitated instances, like the underlying solver surfaces.
-type Mode = popmatch.Mode
-
-// The mode constants, re-exported from the engine enum.
-const (
-	// ModePopular finds any popular matching (Algorithm 1; capacitated
-	// instances route through the clone reduction).
-	ModePopular = popmatch.ModePopular
-	// ModeMaxCard finds a maximum-cardinality popular matching.
-	ModeMaxCard = popmatch.ModeMaxCard
-	// ModeTies runs the §V ties solver (valid for strict instances too).
-	ModeTies = popmatch.ModeTies
-	// ModeTiesMax is ModeTies maximizing cardinality.
-	ModeTiesMax = popmatch.ModeTiesMax
-	// ModeMaxWeight finds a maximum-weight popular matching under the
-	// built-in cardinality weights (1 per real post, 0 per last resort).
-	ModeMaxWeight = popmatch.ModeMaxWeight
-	// ModeMinWeight is the minimizing twin of ModeMaxWeight.
-	ModeMinWeight = popmatch.ModeMinWeight
-	// ModeRankMaximal finds a rank-maximal popular matching (§IV-E).
-	ModeRankMaximal = popmatch.ModeRankMaximal
-	// ModeFair finds a fair popular matching (§IV-E).
-	ModeFair = popmatch.ModeFair
-)
-
-// Modes lists every valid mode.
-var Modes = popmatch.Modes
-
-// ParseMode validates a wire-format mode string against the shared enum.
-func ParseMode(s string) (Mode, error) {
-	m, err := popmatch.ParseMode(s)
-	if err != nil {
-		return 0, fmt.Errorf("serve: unknown mode %q (valid: %s)", s, popmatch.ModeNames())
-	}
-	return m, nil
-}
-
 // ErrOverloaded is returned when admission control refuses a request
 // because too many solves already wait for a slot.
 var ErrOverloaded = errors.New("serve: server overloaded, too many solves waiting")
@@ -288,7 +247,7 @@ func (s *Server) uptimeSeconds() int64 {
 // hit. A request whose context ends stops waiting; the shared solve stops
 // once no request waits for it. cfg.SolveTimeout additionally caps each
 // request's wait server-side.
-func (s *Server) Solve(ctx context.Context, id string, mode Mode) (*Outcome, bool, error) {
+func (s *Server) Solve(ctx context.Context, id string, mode popmatch.Mode) (*Outcome, bool, error) {
 	snap, ok := s.registry.Get(id)
 	if !ok {
 		return nil, false, ErrUnknownInstance

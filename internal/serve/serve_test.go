@@ -74,7 +74,7 @@ func TestRegistryFullAndEvict(t *testing.T) {
 
 func TestSolveUnknownInstance(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
-	if _, _, err := s.Solve(context.Background(), "deadbeef", ModePopular); !errors.Is(err, ErrUnknownInstance) {
+	if _, _, err := s.Solve(context.Background(), "deadbeef", popmatch.ModePopular); !errors.Is(err, ErrUnknownInstance) {
 		t.Fatalf("got %v, want ErrUnknownInstance", err)
 	}
 }
@@ -95,10 +95,10 @@ func TestSolveModesAndCache(t *testing.T) {
 
 	for _, tc := range []struct {
 		snap *Snapshot
-		mode Mode
+		mode popmatch.Mode
 	}{
-		{strict, ModePopular}, {strict, ModeMaxCard}, {strict, ModeTies}, {strict, ModeTiesMax},
-		{capSnap, ModePopular}, {capSnap, ModeMaxCard}, {capSnap, ModeTiesMax},
+		{strict, popmatch.ModePopular}, {strict, popmatch.ModeMaxCard}, {strict, popmatch.ModeTies}, {strict, popmatch.ModeTiesMax},
+		{capSnap, popmatch.ModePopular}, {capSnap, popmatch.ModeMaxCard}, {capSnap, popmatch.ModeTiesMax},
 	} {
 		out, cached, err := s.Solve(ctx, tc.snap.ID, tc.mode)
 		if err != nil {
@@ -133,7 +133,7 @@ func TestSolveModesAndCache(t *testing.T) {
 	}
 
 	// Capacitated outcomes expose rosters; unit ones do not.
-	out, _, err := s.Solve(ctx, capSnap.ID, ModePopular)
+	out, _, err := s.Solve(ctx, capSnap.ID, popmatch.ModePopular)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestCacheEvictionOnInstanceEvict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Solve(context.Background(), snap.ID, ModePopular); err != nil {
+	if _, _, err := s.Solve(context.Background(), snap.ID, popmatch.ModePopular); err != nil {
 		t.Fatal(err)
 	}
 	if s.cache.Len() != 1 {
@@ -158,7 +158,7 @@ func TestCacheEvictionOnInstanceEvict(t *testing.T) {
 	if s.cache.Len() != 0 {
 		t.Fatalf("cache holds %d entries after evict, want 0", s.cache.Len())
 	}
-	if _, _, err := s.Solve(context.Background(), snap.ID, ModePopular); !errors.Is(err, ErrUnknownInstance) {
+	if _, _, err := s.Solve(context.Background(), snap.ID, popmatch.ModePopular); !errors.Is(err, ErrUnknownInstance) {
 		t.Fatalf("solve after evict: %v, want ErrUnknownInstance", err)
 	}
 }
@@ -166,17 +166,17 @@ func TestCacheEvictionOnInstanceEvict(t *testing.T) {
 func TestLRUEvictsOldest(t *testing.T) {
 	c := newResultCache(2)
 	o := &Outcome{}
-	c.Put(cacheKey{id: "a", mode: ModePopular}, o)
-	c.Put(cacheKey{id: "b", mode: ModePopular}, o)
-	if _, ok := c.Get(cacheKey{id: "a", mode: ModePopular}); !ok {
+	c.Put(cacheKey{id: "a", mode: popmatch.ModePopular}, o)
+	c.Put(cacheKey{id: "b", mode: popmatch.ModePopular}, o)
+	if _, ok := c.Get(cacheKey{id: "a", mode: popmatch.ModePopular}); !ok {
 		t.Fatal("a missing")
 	}
-	c.Put(cacheKey{id: "c", mode: ModePopular}, o) // evicts b (a was refreshed)
-	if _, ok := c.Get(cacheKey{id: "b", mode: ModePopular}); ok {
+	c.Put(cacheKey{id: "c", mode: popmatch.ModePopular}, o) // evicts b (a was refreshed)
+	if _, ok := c.Get(cacheKey{id: "b", mode: popmatch.ModePopular}); ok {
 		t.Fatal("b survived beyond capacity")
 	}
 	for _, id := range []string{"a", "c"} {
-		if _, ok := c.Get(cacheKey{id: id, mode: ModePopular}); !ok {
+		if _, ok := c.Get(cacheKey{id: id, mode: popmatch.ModePopular}); !ok {
 			t.Fatalf("%s missing", id)
 		}
 	}
@@ -184,29 +184,29 @@ func TestLRUEvictsOldest(t *testing.T) {
 
 // TestEvictInstanceDropsEveryKeyShape is the regression test for the evict
 // bug: the old implementation probed cacheKey{id, mode} for each mode in the
-// global Modes list, so any key carrying an out-of-list mode survived
+// global popmatch.Modes list, so any key carrying an out-of-list mode survived
 // eviction and leaked until LRU pressure pushed it out (while staying
 // servable for a deleted id). A session line, whose key carries a nonzero
 // epoch, must go too.
 func TestEvictInstanceDropsEveryKeyShape(t *testing.T) {
 	c := newResultCache(8)
 	o := &Outcome{}
-	c.Put(cacheKey{id: "x", mode: ModePopular}, o)
-	c.Put(cacheKey{id: "x", mode: Mode(99)}, o)              // not in Modes
-	c.Put(cacheKey{id: "s", mode: ModePopular, epoch: 7}, o) // session line
-	c.Put(cacheKey{id: "y", mode: ModePopular}, o)
+	c.Put(cacheKey{id: "x", mode: popmatch.ModePopular}, o)
+	c.Put(cacheKey{id: "x", mode: popmatch.Mode(99)}, o)              // not in popmatch.Modes
+	c.Put(cacheKey{id: "s", mode: popmatch.ModePopular, epoch: 7}, o) // session line
+	c.Put(cacheKey{id: "y", mode: popmatch.ModePopular}, o)
 	c.EvictInstance("x")
 	c.EvictInstance("s")
 	if got := c.Len(); got != 1 {
 		t.Fatalf("cache holds %d entries after evicting x and s, want 1", got)
 	}
-	if _, ok := c.Get(cacheKey{id: "s", mode: ModePopular, epoch: 7}); ok {
+	if _, ok := c.Get(cacheKey{id: "s", mode: popmatch.ModePopular, epoch: 7}); ok {
 		t.Fatal("session line survived EvictInstance")
 	}
-	if _, ok := c.Get(cacheKey{id: "x", mode: Mode(99)}); ok {
+	if _, ok := c.Get(cacheKey{id: "x", mode: popmatch.Mode(99)}); ok {
 		t.Fatal("foreign-mode key survived EvictInstance")
 	}
-	if _, ok := c.Get(cacheKey{id: "y", mode: ModePopular}); !ok {
+	if _, ok := c.Get(cacheKey{id: "y", mode: popmatch.ModePopular}); !ok {
 		t.Fatal("unrelated instance was evicted")
 	}
 }
@@ -217,7 +217,7 @@ func TestEvictInstanceDropsEveryKeyShape(t *testing.T) {
 func TestCacheLineFollowsEpoch(t *testing.T) {
 	c := newResultCache(8)
 	o1, o2 := &Outcome{Size: 1}, &Outcome{Size: 2}
-	k := func(epoch uint64) cacheKey { return cacheKey{id: "s", mode: ModePopular, epoch: epoch} }
+	k := func(epoch uint64) cacheKey { return cacheKey{id: "s", mode: popmatch.ModePopular, epoch: epoch} }
 	c.Put(k(1), o1)
 	if _, ok := c.Get(k(2)); ok {
 		t.Fatal("epoch 1 line answered epoch 2")
@@ -258,7 +258,7 @@ func TestMicroBatchingCoalescesConcurrentLoad(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				if _, _, err := s.Solve(context.Background(), snaps[(g+i)%len(snaps)].ID, ModePopular); err != nil {
+				if _, _, err := s.Solve(context.Background(), snaps[(g+i)%len(snaps)].ID, popmatch.ModePopular); err != nil {
 					t.Errorf("client %d: %v", g, err)
 					return
 				}
@@ -316,7 +316,7 @@ func waitingFlights(s *Server) int {
 }
 
 // solveAsync runs s.Solve on its own goroutine and delivers its error.
-func solveAsync(ctx context.Context, s *Server, id string, mode Mode) <-chan error {
+func solveAsync(ctx context.Context, s *Server, id string, mode popmatch.Mode) <-chan error {
 	done := make(chan error, 1)
 	go func() {
 		_, _, err := s.Solve(ctx, id, mode)
@@ -334,18 +334,18 @@ func TestAdmissionControlRejectsWhenFull(t *testing.T) {
 	// With every slot held, two flights (two modes of one instance) fill
 	// the MaxQueue=2 wait bound.
 	holdSlots(s)
-	popular := solveAsync(context.Background(), s, snap.ID, ModePopular)
-	maxcard := solveAsync(context.Background(), s, snap.ID, ModeMaxCard)
+	popular := solveAsync(context.Background(), s, snap.ID, popmatch.ModePopular)
+	maxcard := solveAsync(context.Background(), s, snap.ID, popmatch.ModeMaxCard)
 	waitFor(t, "two flights waiting for a slot", func() bool { return waitingFlights(s) == 2 })
 	// A third key would leave three flights waiting: refused.
-	if _, _, err := s.Solve(context.Background(), snap.ID, ModeTies); !errors.Is(err, ErrOverloaded) {
+	if _, _, err := s.Solve(context.Background(), snap.ID, popmatch.ModeTies); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("solve against a full wait bound: %v, want ErrOverloaded", err)
 	}
 	if got := s.Stats()["rejected"]; got != 1 {
 		t.Fatalf("rejected counter %d, want 1", got)
 	}
 	// A request for a key already in flight joins it instead of queueing.
-	joined := solveAsync(context.Background(), s, snap.ID, ModePopular)
+	joined := solveAsync(context.Background(), s, snap.ID, popmatch.ModePopular)
 	waitFor(t, "the join", func() bool { return s.stats.Coalesced.Load() == 1 })
 	// Everything admitted completes once the slots are free.
 	releaseSlots(s)
@@ -374,14 +374,14 @@ func TestNegativeMaxQueueMeansMinimalQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if _, _, err := s.Solve(context.Background(), snap.ID, ModePopular); err != nil {
+		if _, _, err := s.Solve(context.Background(), snap.ID, popmatch.ModePopular); err != nil {
 			t.Fatalf("solve %d with MaxQueue=-1: %v", i, err)
 		}
 	}
 	holdSlots(s)
-	waiting := solveAsync(context.Background(), s, snap.ID, ModePopular)
+	waiting := solveAsync(context.Background(), s, snap.ID, popmatch.ModePopular)
 	waitFor(t, "one flight waiting for a slot", func() bool { return waitingFlights(s) == 1 })
-	if _, _, err := s.Solve(context.Background(), snap.ID, ModeMaxCard); !errors.Is(err, ErrOverloaded) {
+	if _, _, err := s.Solve(context.Background(), snap.ID, popmatch.ModeMaxCard); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("second waiting flight with MaxQueue=-1: %v, want ErrOverloaded", err)
 	}
 	releaseSlots(s)
@@ -402,9 +402,9 @@ func TestAbandonedWaiterCountedAndHarmless(t *testing.T) {
 	}
 	holdSlots(s)
 	ctx, cancel := context.WithCancel(context.Background())
-	abandoned := solveAsync(ctx, s, snap.ID, ModePopular)
+	abandoned := solveAsync(ctx, s, snap.ID, popmatch.ModePopular)
 	waitFor(t, "the first flight", func() bool { return waitingFlights(s) == 1 })
-	patient := solveAsync(context.Background(), s, snap.ID, ModePopular)
+	patient := solveAsync(context.Background(), s, snap.ID, popmatch.ModePopular)
 	waitFor(t, "the join", func() bool { return s.stats.Coalesced.Load() == 1 })
 	cancel()
 	if err := <-abandoned; !errors.Is(err, context.Canceled) {
@@ -434,14 +434,14 @@ func TestFlightLeftByEveryWaiterIsNotReused(t *testing.T) {
 	}
 	holdSlots(s)
 	ctx, cancel := context.WithCancel(context.Background())
-	left := solveAsync(ctx, s, snap.ID, ModePopular)
+	left := solveAsync(ctx, s, snap.ID, popmatch.ModePopular)
 	waitFor(t, "the flight", func() bool { return waitingFlights(s) == 1 })
 	cancel()
 	if err := <-left; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled solve returned %v, want context.Canceled", err)
 	}
 	releaseSlots(s)
-	if _, _, err := s.Solve(context.Background(), snap.ID, ModePopular); err != nil {
+	if _, _, err := s.Solve(context.Background(), snap.ID, popmatch.ModePopular); err != nil {
 		t.Fatalf("solve after every waiter left: %v", err)
 	}
 	if st := s.Stats(); st["batches"] != 2 || st["coalesced"] != 0 {
@@ -461,7 +461,7 @@ func TestCloseFailsSlotWaiters(t *testing.T) {
 	}
 	holdSlots(s)
 	var waiters []<-chan error
-	for _, mode := range []Mode{ModePopular, ModePopular, ModeMaxCard} {
+	for _, mode := range []popmatch.Mode{popmatch.ModePopular, popmatch.ModePopular, popmatch.ModeMaxCard} {
 		waiters = append(waiters, solveAsync(context.Background(), s, snap.ID, mode))
 	}
 	waitFor(t, "three waiting requests", func() bool { return s.stats.BatchedRequests.Load() == 3 })
@@ -485,7 +485,7 @@ func TestPerRequestCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := s.Solve(ctx, snap.ID, ModePopular); !errors.Is(err, context.Canceled) {
+	if _, _, err := s.Solve(ctx, snap.ID, popmatch.ModePopular); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
@@ -496,7 +496,7 @@ func TestSolveTimeoutConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Solve(context.Background(), snap.ID, ModePopular); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := s.Solve(context.Background(), snap.ID, popmatch.ModePopular); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want DeadlineExceeded", err)
 	}
 }
@@ -509,11 +509,11 @@ func TestModeErrorsSurfaceCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Solve(context.Background(), snap.ID, ModePopular); err == nil {
+	if _, _, err := s.Solve(context.Background(), snap.ID, popmatch.ModePopular); err == nil {
 		t.Fatal("strict solve of a tied instance succeeded")
 	}
 	// The same instance solves fine in ties mode.
-	if _, _, err := s.Solve(context.Background(), snap.ID, ModeTies); err != nil {
+	if _, _, err := s.Solve(context.Background(), snap.ID, popmatch.ModeTies); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -524,12 +524,12 @@ func TestServerCloseFailsPendingAndRejectsNew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Solve(context.Background(), snap.ID, ModePopular); err != nil {
+	if _, _, err := s.Solve(context.Background(), snap.ID, popmatch.ModePopular); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
 	s.Close() // idempotent
-	if _, _, err := s.Solve(context.Background(), snap.ID, ModeMaxCard); !errors.Is(err, ErrServerClosed) {
+	if _, _, err := s.Solve(context.Background(), snap.ID, popmatch.ModeMaxCard); !errors.Is(err, ErrServerClosed) {
 		t.Fatalf("solve after close: %v, want ErrServerClosed", err)
 	}
 }
@@ -574,11 +574,11 @@ func TestBatchedStrictPathMatchesDirectSolver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, _, err := s.Solve(context.Background(), snap.ID, ModePopular)
+		out, _, err := s.Solve(context.Background(), snap.ID, popmatch.ModePopular)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := direct.Solve(context.Background(), snap.Ins)
+		want, err := direct.SolveRequest(context.Background(), snap.Ins, popmatch.Request{Mode: popmatch.ModePopular})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -284,9 +284,9 @@ type SessionSolveMeta struct {
 // epoch it answers: a re-query without intervening mutations is answered
 // from it, a re-match after a mutation misses and its result replaces the
 // line, so a session's churn never fills the cache with dead epochs. On a
-// miss, ModePopular rides the warm-started delta solver; other modes
+// miss, popmatch.ModePopular rides the warm-started delta solver; other modes
 // full-solve the current instance.
-func (s *Server) SolveSession(ctx context.Context, id string, mode Mode) (*Outcome, SessionSolveMeta, error) {
+func (s *Server) SolveSession(ctx context.Context, id string, mode popmatch.Mode) (*Outcome, SessionSolveMeta, error) {
 	return s.solveSession(ctx, id, mode, nil)
 }
 
@@ -294,11 +294,11 @@ func (s *Server) SolveSession(ctx context.Context, id string, mode Mode) (*Outco
 // tr (the warm delta path attributes its splice work there). Traced session
 // solves bypass the result cache in both directions so the trace always
 // reflects a real kernel dispatch of exactly this request.
-func (s *Server) SolveSessionTraced(ctx context.Context, id string, mode Mode, tr *popmatch.SolveTrace) (*Outcome, SessionSolveMeta, error) {
+func (s *Server) SolveSessionTraced(ctx context.Context, id string, mode popmatch.Mode, tr *popmatch.SolveTrace) (*Outcome, SessionSolveMeta, error) {
 	return s.solveSession(ctx, id, mode, tr)
 }
 
-func (s *Server) solveSession(ctx context.Context, id string, mode Mode, tr *popmatch.SolveTrace) (*Outcome, SessionSolveMeta, error) {
+func (s *Server) solveSession(ctx context.Context, id string, mode popmatch.Mode, tr *popmatch.SolveTrace) (*Outcome, SessionSolveMeta, error) {
 	sess, ok := s.sessions.get(id)
 	if !ok {
 		return nil, SessionSolveMeta{}, ErrUnknownSession
@@ -328,7 +328,7 @@ func (s *Server) solveSession(ctx context.Context, id string, mode Mode, tr *pop
 	t0 := time.Now()
 	var res popmatch.Result
 	var err error
-	if mode == ModePopular {
+	if mode == popmatch.ModePopular {
 		// The delta path recycles sess.res's buffers and the session's warm
 		// state; for any instance shape it cannot serve incrementally it
 		// falls back to a full solve internally.

@@ -38,7 +38,7 @@ func TestSessionLifecycleAndDeltaCorrectness(t *testing.T) {
 	check := func(step string, out *Outcome) {
 		t.Helper()
 		sess, _ := s.sessions.get(info.ID)
-		want, err := direct.Solve(ctx, sess.ins.Clone())
+		want, err := direct.SolveRequest(ctx, sess.ins.Clone(), popmatch.Request{Mode: popmatch.ModePopular})
 		if err != nil {
 			t.Fatalf("%s: ground-truth solve: %v", step, err)
 		}
@@ -54,12 +54,12 @@ func TestSessionLifecycleAndDeltaCorrectness(t *testing.T) {
 	}
 
 	// First solve: a full capture, then a cache hit at the same epoch.
-	out, meta, err := s.SolveSession(ctx, info.ID, ModePopular)
+	out, meta, err := s.SolveSession(ctx, info.ID, popmatch.ModePopular)
 	if err != nil || meta.Cached || meta.Warm {
 		t.Fatalf("first session solve: meta=%+v err=%v", meta, err)
 	}
 	check("initial", out)
-	if _, meta, err = s.SolveSession(ctx, info.ID, ModePopular); err != nil || !meta.Cached {
+	if _, meta, err = s.SolveSession(ctx, info.ID, popmatch.ModePopular); err != nil || !meta.Cached {
 		t.Fatalf("re-query at same epoch: meta=%+v err=%v", meta, err)
 	}
 
@@ -75,7 +75,7 @@ func TestSessionLifecycleAndDeltaCorrectness(t *testing.T) {
 	if mutInfo.Epoch == 0 || mutInfo.Mutations != 1 {
 		t.Fatalf("post-mutation info: %+v", mutInfo)
 	}
-	out, meta, err = s.SolveSession(ctx, info.ID, ModePopular)
+	out, meta, err = s.SolveSession(ctx, info.ID, popmatch.ModePopular)
 	if err != nil || meta.Cached {
 		t.Fatalf("post-mutation solve: meta=%+v err=%v", meta, err)
 	}
@@ -96,7 +96,7 @@ func TestSessionLifecycleAndDeltaCorrectness(t *testing.T) {
 	if applied[0].Applicant != 200 {
 		t.Fatalf("add_applicant assigned id %d, want 200", applied[0].Applicant)
 	}
-	out, meta, err = s.SolveSession(ctx, info.ID, ModePopular)
+	out, meta, err = s.SolveSession(ctx, info.ID, popmatch.ModePopular)
 	if err != nil || meta.Warm {
 		t.Fatalf("post-add solve: meta=%+v err=%v", meta, err)
 	}
@@ -110,14 +110,14 @@ func TestSessionLifecycleAndDeltaCorrectness(t *testing.T) {
 	if applied[0].Applicant != 200 { // the (old) last applicant moved into slot 5
 		t.Fatalf("remove_applicant moved id %d, want 200", applied[0].Applicant)
 	}
-	out, _, err = s.SolveSession(ctx, info.ID, ModePopular)
+	out, _, err = s.SolveSession(ctx, info.ID, popmatch.ModePopular)
 	if err != nil {
 		t.Fatal(err)
 	}
 	check("after remove_applicant", out)
 
 	// Other modes are servable against the mutated instance too.
-	out, meta, err = s.SolveSession(ctx, info.ID, ModeMaxCard)
+	out, meta, err = s.SolveSession(ctx, info.ID, popmatch.ModeMaxCard)
 	if err != nil || meta.Cached || meta.Warm {
 		t.Fatalf("maxcard session solve: meta=%+v err=%v", meta, err)
 	}
@@ -137,12 +137,12 @@ func TestSessionLifecycleAndDeltaCorrectness(t *testing.T) {
 	if s.DeleteSession(info.ID) {
 		t.Fatal("double delete succeeded")
 	}
-	if _, _, err := s.SolveSession(ctx, info.ID, ModePopular); !errors.Is(err, ErrUnknownSession) {
+	if _, _, err := s.SolveSession(ctx, info.ID, popmatch.ModePopular); !errors.Is(err, ErrUnknownSession) {
 		t.Fatalf("solve of deleted session: %v", err)
 	}
 	for _, key := range []cacheKey{
-		{id: info.ID, mode: ModePopular, epoch: meta.Epoch},
-		{id: info.ID, mode: ModeMaxCard, epoch: meta.Epoch},
+		{id: info.ID, mode: popmatch.ModePopular, epoch: meta.Epoch},
+		{id: info.ID, mode: popmatch.ModeMaxCard, epoch: meta.Epoch},
 	} {
 		if _, ok := s.cache.Get(key); ok {
 			t.Fatalf("cache line %+v survived session delete", key)
@@ -162,7 +162,7 @@ func TestSessionChurnKeepsRegisteredLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Solve(ctx, snap.ID, ModePopular); err != nil {
+	if _, _, err := s.Solve(ctx, snap.ID, popmatch.ModePopular); err != nil {
 		t.Fatal(err)
 	}
 	info, err := s.CreateSession(snap.ID)
@@ -175,14 +175,14 @@ func TestSessionChurnKeepsRegisteredLines(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if _, meta, err := s.SolveSession(ctx, info.ID, ModePopular); err != nil || meta.Cached {
+		if _, meta, err := s.SolveSession(ctx, info.ID, popmatch.ModePopular); err != nil || meta.Cached {
 			t.Fatalf("cycle %d: re-match meta=%+v err=%v", i, meta, err)
 		}
 		if got := s.Stats()["cache_entries"]; got != 2 {
 			t.Fatalf("cycle %d: cache_entries = %d, want 2 (instance + session)", i, got)
 		}
 	}
-	if _, hit, err := s.Solve(ctx, snap.ID, ModePopular); err != nil || !hit {
+	if _, hit, err := s.Solve(ctx, snap.ID, popmatch.ModePopular); err != nil || !hit {
 		t.Fatalf("registered instance's solve after session churn: hit=%v err=%v", hit, err)
 	}
 }
@@ -216,7 +216,7 @@ func TestSessionMutationErrorsAndPartialBatches(t *testing.T) {
 		t.Fatal("unknown op accepted")
 	}
 	// The session still solves after a rejected mutation.
-	if _, _, err := s.SolveSession(context.Background(), info.ID, ModePopular); err != nil {
+	if _, _, err := s.SolveSession(context.Background(), info.ID, popmatch.ModePopular); err != nil {
 		t.Fatalf("solve after rejected mutation: %v", err)
 	}
 }

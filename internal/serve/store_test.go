@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/onesided"
+	"repro/popmatch"
 )
 
 // encodeBoth returns the text and binary encodings of ins.
@@ -133,7 +134,7 @@ func TestServerStoreRestart(t *testing.T) {
 	if _, created, err := s1.Upload(instances[0].Clone()); err != nil || created {
 		t.Fatalf("duplicate upload: created=%v err=%v", created, err)
 	}
-	out1, _, err := s1.Solve(t.Context(), ids[0], ModeMaxCard)
+	out1, _, err := s1.Solve(t.Context(), ids[0], popmatch.ModeMaxCard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestServerStoreRestart(t *testing.T) {
 			t.Fatalf("instance %d identity drifted across the restart", i)
 		}
 	}
-	out2, _, err := s2.Solve(t.Context(), ids[0], ModeMaxCard)
+	out2, _, err := s2.Solve(t.Context(), ids[0], popmatch.ModeMaxCard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestServerStoreRemovesOrphanedTempFiles(t *testing.T) {
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
 		t.Fatalf("orphaned temp file survived Open: %v", err)
 	}
-	if out, _, err := s2.Solve(t.Context(), snap.ID, ModePopular); err != nil || !out.Exists {
+	if out, _, err := s2.Solve(t.Context(), snap.ID, popmatch.ModePopular); err != nil || !out.Exists {
 		t.Fatalf("persisted instance not served after Open: exists=%v err=%v", out != nil && out.Exists, err)
 	}
 }

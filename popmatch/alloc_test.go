@@ -8,8 +8,8 @@ import (
 
 // TestSolveIntoZeroAllocSteadyState pins the CSR-kernel contract: after the
 // first solve has installed the kernel and warmed the session arena,
-// repeated SolveInto calls on the same unit strict instance perform zero
-// heap allocations — the loop closures persist, scratch comes from the
+// repeated SolveRequestInto calls on the same unit strict instance perform
+// zero heap allocations — the loop closures persist, scratch comes from the
 // arena, and the result matching is Reset in place.
 func TestSolveIntoZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
@@ -22,7 +22,7 @@ func TestSolveIntoZeroAllocSteadyState(t *testing.T) {
 	var res Result
 	// Warm: install the kernel, size the arena buckets and result buffers.
 	for i := 0; i < 3; i++ {
-		if err := s.SolveInto(ctx, ins, &res); err != nil {
+		if err := s.SolveRequestInto(ctx, ins, Request{Mode: ModePopular}, &res); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -30,12 +30,12 @@ func TestSolveIntoZeroAllocSteadyState(t *testing.T) {
 		t.Fatal("workload instance must be solvable")
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if err := s.SolveInto(ctx, ins, &res); err != nil {
+		if err := s.SolveRequestInto(ctx, ins, Request{Mode: ModePopular}, &res); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("SolveInto steady state allocates %.1f times per op, want 0", allocs)
+		t.Fatalf("strict SolveRequestInto steady state allocates %.1f times per op, want 0", allocs)
 	}
 }
 
@@ -50,7 +50,7 @@ func BenchmarkSolveIntoSteadyState(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.SolveInto(ctx, ins, &res); err != nil {
+		if err := s.SolveRequestInto(ctx, ins, Request{Mode: ModePopular}, &res); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -67,9 +67,9 @@ func tiedAllocInstance(t testing.TB, n int) *Instance {
 // TestSolveTiesIntoSteadyStateAllocs pins the unified-engine contract for
 // the ties path: after the first solve has installed the engine (with its
 // pooled rank-one graph, Hopcroft–Karp/EOU scratch, flat weight table and
-// Hungarian working arrays) and warmed the session arena, repeated
-// SolveTiesInto calls on the same instance perform zero heap allocations —
-// where the pre-engine path rebuilt a bipartite graph and re-made the
+// Hungarian working arrays) and warmed the session arena, repeated tiesmax
+// SolveRequestInto calls on the same instance perform zero heap allocations
+// — where the pre-engine path rebuilt a bipartite graph and re-made the
 // O(n·total) weight rows on every call.
 func TestSolveTiesIntoSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
@@ -81,7 +81,7 @@ func TestSolveTiesIntoSteadyStateAllocs(t *testing.T) {
 	ctx := context.Background()
 	var res Result
 	for i := 0; i < 3; i++ {
-		if err := s.SolveTiesInto(ctx, ins, true, &res); err != nil {
+		if err := s.SolveRequestInto(ctx, ins, Request{Mode: ModeTiesMax}, &res); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -89,12 +89,12 @@ func TestSolveTiesIntoSteadyStateAllocs(t *testing.T) {
 		t.Fatal("workload instance must be solvable in tiesmax mode")
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if err := s.SolveTiesInto(ctx, ins, true, &res); err != nil {
+		if err := s.SolveRequestInto(ctx, ins, Request{Mode: ModeTiesMax}, &res); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 0 {
-		t.Fatalf("SolveTiesInto steady state allocates %.1f times per op, want 0", allocs)
+		t.Fatalf("tiesmax SolveRequestInto steady state allocates %.1f times per op, want 0", allocs)
 	}
 }
 
@@ -110,7 +110,7 @@ func BenchmarkSolveTiesIntoSteadyState(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.SolveTiesInto(ctx, ins, true, &res); err != nil {
+		if err := s.SolveRequestInto(ctx, ins, Request{Mode: ModeTiesMax}, &res); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package popmatch
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -25,8 +26,10 @@ func TestPublicIORoundTrip(t *testing.T) {
 
 func TestPublicMaxBipartiteMatching(t *testing.T) {
 	// Perfect matching on a 3-cycle-ish graph.
+	s := newTestSolver(t, Options{})
+	ctx := context.Background()
 	adj := [][]int32{{0, 1}, {1, 2}, {0}}
-	matchL, size, err := MaxBipartiteMatching(adj, 3, Options{})
+	matchL, size, err := s.MaxBipartiteMatching(ctx, adj, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +48,7 @@ func TestPublicMaxBipartiteMatching(t *testing.T) {
 	}
 	// Graph with isolated left vertices.
 	adj2 := [][]int32{{}, {0}, {}}
-	matchL2, size2, err := MaxBipartiteMatching(adj2, 1, Options{})
+	matchL2, size2, err := s.MaxBipartiteMatching(ctx, adj2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +70,11 @@ func TestPublicMinWeightDistinctFromMax(t *testing.T) {
 		}
 		return 1
 	}
-	mx, err := MaxWeight(ins, w, Options{})
+	mx, err := SolveRequest(ins, Request{Mode: ModeMaxWeight, Weights: w}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mn, err := MinWeight(ins, w, Options{})
+	mn, err := SolveRequest(ins, Request{Mode: ModeMinWeight, Weights: w}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +91,7 @@ func TestPublicMinWeightDistinctFromMax(t *testing.T) {
 
 func TestPublicVerifyRejects(t *testing.T) {
 	ins := PaperInstance()
-	res, err := Solve(ins, Options{})
+	res, err := SolveRequest(ins, Request{Mode: ModePopular}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,14 +99,14 @@ func TestPublicVerifyRejects(t *testing.T) {
 	// Move a1 to its 4th choice: breaks Theorem 1(ii).
 	bad.Match(0, 1)
 	bad.Match(1, 0)
-	if err := Verify(ins, bad, Options{}); err == nil {
+	if err := newTestSolver(t, Options{}).Verify(context.Background(), ins, bad); err == nil {
 		t.Fatal("Verify accepted a corrupted matching")
 	}
 }
 
 func TestPublicProfile(t *testing.T) {
 	ins := PaperInstance()
-	res, _ := Solve(ins, Options{})
+	res, _ := SolveRequest(ins, Request{Mode: ModePopular}, Options{})
 	prof := Profile(ins, res.Matching)
 	total := 0
 	for _, x := range prof {
@@ -185,5 +188,21 @@ func TestCountLongSwitchingCycle(t *testing.T) {
 	}
 	if d := time.Since(start); d > 2*time.Second {
 		t.Fatalf("Count on a 100,000-vertex switching cycle took %v, want under 2s", d)
+	}
+}
+
+// TestNegativePostCountRejected pins that a negative post count is an error
+// at every public entry point that takes one, not a makeslice panic in
+// instance validation.
+func TestNegativePostCountRejected(t *testing.T) {
+	if _, err := NewStrict(-1, [][]int32{{0}}); err == nil {
+		t.Error("NewStrict accepted -1 posts")
+	}
+	if _, err := NewWithTies(-1, [][]int32{{0}}, [][]int32{{1}}); err == nil {
+		t.Error("NewWithTies accepted -1 posts")
+	}
+	s := newTestSolver(t, Options{Workers: 1})
+	if _, _, err := s.MaxBipartiteMatching(context.Background(), [][]int32{{0}}, -1); err == nil {
+		t.Error("MaxBipartiteMatching accepted -1 right vertices")
 	}
 }

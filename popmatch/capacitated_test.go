@@ -108,13 +108,13 @@ func TestCapacitatedDifferentialVsManualCloning(t *testing.T) {
 					capSeen++
 				}
 
-				res, err := s.Solve(ctx, ins)
+				res, err := s.SolveRequest(ctx, ins, Request{Mode: ModePopular})
 				if err != nil {
 					t.Fatalf("trial %d: capacitated solve: %v", trial, err)
 				}
 
 				unit, cloneOf := manualClone(t, ins)
-				want, err := s.SolveTies(ctx, unit, false)
+				want, err := s.SolveRequest(ctx, unit, Request{Mode: ModeTies})
 				if err != nil {
 					t.Fatalf("trial %d: manual clone solve: %v", trial, err)
 				}
@@ -180,7 +180,7 @@ func TestCapacitatedDifferentialVsManualCloning(t *testing.T) {
 func TestAllOnesCapacityKeepsPeelRounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	ins := Solvable(rng, 50, 10, 4)
-	base, err := Solve(ins, Options{Workers: 1})
+	base, err := SolveRequest(ins, Request{Mode: ModePopular}, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestAllOnesCapacityKeepsPeelRounds(t *testing.T) {
 	if err := withCaps.SetCapacities(ones); err != nil {
 		t.Fatal(err)
 	}
-	capRes, err := Solve(withCaps, Options{Workers: 1})
+	capRes, err := SolveRequest(withCaps, Request{Mode: ModePopular}, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,17 +252,17 @@ func TestCapacitatedGuardedSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := Options{Workers: 1}
-	if _, err := RankMaximal(ins, o); err == nil {
+	if _, err := SolveRequest(ins, Request{Mode: ModeRankMaximal}, o); err == nil {
 		t.Error("RankMaximal accepted a capacitated instance")
 	}
-	if _, err := Fair(ins, o); err == nil {
+	if _, err := SolveRequest(ins, Request{Mode: ModeFair}, o); err == nil {
 		t.Error("Fair accepted a capacitated instance")
 	}
 	w := func(a int32, p int32) int64 { return 1 }
-	if _, err := MaxWeight(ins, w, o); err == nil {
+	if _, err := SolveRequest(ins, Request{Mode: ModeMaxWeight, Weights: w}, o); err == nil {
 		t.Error("MaxWeight accepted a capacitated instance")
 	}
-	if _, err := MinWeight(ins, w, o); err == nil {
+	if _, err := SolveRequest(ins, Request{Mode: ModeMinWeight, Weights: w}, o); err == nil {
 		t.Error("MinWeight accepted a capacitated instance")
 	}
 	if _, err := Count(ins, o); err == nil {
@@ -273,23 +273,23 @@ func TestCapacitatedGuardedSurfaces(t *testing.T) {
 	}
 
 	// The routed surfaces accept it, and verification closes the loop.
-	res, err := Solve(ins, o)
+	res, err := SolveRequest(ins, Request{Mode: ModePopular}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Exists || res.Matching != nil || res.Assignment == nil {
-		t.Fatalf("capacitated Solve result malformed: %+v", res)
+		t.Fatalf("capacitated popular result malformed: %+v", res)
 	}
 	if got := len(res.Assignment.AssignedTo(0)); got != 2 {
 		t.Fatalf("p0 should be filled to capacity 2, got %d", got)
 	}
-	if err := VerifyAssignment(ins, res.Assignment, o); err != nil {
+	if err := newTestSolver(t, o).VerifyAssignment(context.Background(), ins, res.Assignment); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MaxCardinality(ins, o); err != nil {
+	if _, err := SolveRequest(ins, Request{Mode: ModeMaxCard}, o); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SolveTies(ins, true, o); err != nil {
+	if _, err := SolveRequest(ins, Request{Mode: ModeTiesMax}, o); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -45,9 +45,9 @@ func TestSolverCloseRacesInFlightSolve(t *testing.T) {
 					ins := instances[(g+i)%len(instances)]
 					var err error
 					if ins.Strict() {
-						_, err = s.Solve(ctx, ins)
+						_, err = s.SolveRequest(ctx, ins, Request{Mode: ModePopular})
 					} else {
-						_, err = s.SolveTies(ctx, ins, false)
+						_, err = s.SolveRequest(ctx, ins, Request{Mode: ModeTies})
 					}
 					switch {
 					case err == nil:
@@ -87,12 +87,12 @@ func TestSolverCloseIdempotentAndConcurrent(t *testing.T) {
 		go func() { defer wg.Done(); s.Close() }()
 	}
 	wg.Wait()
-	if _, err := s.Solve(context.Background(), mustStrict(t)); !errors.Is(err, ErrSolverClosed) {
-		t.Fatalf("Solve on closed solver: got %v, want ErrSolverClosed", err)
+	if _, err := s.SolveRequest(context.Background(), mustStrict(t), Request{Mode: ModePopular}); !errors.Is(err, ErrSolverClosed) {
+		t.Fatalf("SolveRequest on closed solver: got %v, want ErrSolverClosed", err)
 	}
 	var res Result
-	if err := s.SolveInto(context.Background(), mustStrict(t), &res); !errors.Is(err, ErrSolverClosed) {
-		t.Fatalf("SolveInto on closed solver: got %v, want ErrSolverClosed", err)
+	if err := s.SolveRequestInto(context.Background(), mustStrict(t), Request{Mode: ModePopular}, &res); !errors.Is(err, ErrSolverClosed) {
+		t.Fatalf("SolveRequestInto on closed solver: got %v, want ErrSolverClosed", err)
 	}
 	if err := s.Verify(context.Background(), mustStrict(t), nil); !errors.Is(err, ErrSolverClosed) {
 		t.Fatalf("Verify on closed solver: got %v, want ErrSolverClosed", err)

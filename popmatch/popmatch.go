@@ -13,32 +13,37 @@
 //
 // # Quick start
 //
-//	ins, _ := popmatch.NewStrict(9, lists)       // posts ranked per applicant
-//	res, _ := popmatch.Solve(ins, popmatch.Options{})
+// Every solve is one Request, whose Mode picks the algorithm:
+//
+//	ins, _ := popmatch.NewStrict(9, lists) // posts ranked per applicant
+//	res, _ := popmatch.SolveRequest(ins, popmatch.Request{Mode: popmatch.ModePopular}, popmatch.Options{})
 //	if res.Exists {
 //	    for a, p := range res.Matching.PostOf { ... }
 //	}
 //
-// All solvers accept Options controlling the worker pool and cost tracing;
-// the zero value uses every CPU.
+// SolveRequest runs on a throwaway Solver; a program solving many instances
+// holds one Solver and calls its SolveRequest or SolveRequestInto, which
+// reuse the worker pool and the scratch memory. Options sets the worker
+// pool (the zero value uses every CPU), and Request.Trace asks for a
+// solve's rounds, work and per-phase wall time.
 //
 // # Capacitated posts
 //
 // Posts may hold more than one applicant (capacitated house allocation):
 //
 //	ins, _ := popmatch.NewCapacitated([]int32{2, 1}, lists) // p0 has 2 seats
-//	res, _ := popmatch.Solve(ins, popmatch.Options{})
+//	res, _ := popmatch.SolveRequest(ins, popmatch.Request{Mode: popmatch.ModePopular}, popmatch.Options{})
 //	if res.Exists {
 //	    _ = res.Assignment.AssignedTo(0) // applicants sharing p0
 //	}
 //
 // Capacitated instances reduce to the unit model by post cloning (capacity-c
-// posts become c tied unit posts) and are solved with the ties machinery;
-// Solve, MaxCardinality and SolveTies route them automatically
-// and report the result in Result.Assignment. Unit-capacity instances take
-// the historical code path and return bit-identical matchings. Surfaces
-// without a capacitated route (MaxWeight, RankMaximal, Fair, Count, ...)
-// return an error rather than silently ignoring capacities.
+// posts become c tied unit posts) and are solved with the ties machinery:
+// ModePopular, ModeMaxCard, ModeTies and ModeTiesMax route them
+// automatically and report the result in Result.Assignment. Unit-capacity
+// vectors return the same matching as an instance without one. The other
+// modes, Count, EnumerateAll and Solver.Verify return an error rather than
+// silently ignoring capacities.
 package popmatch
 
 import (
@@ -48,7 +53,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/onesided"
-	"repro/internal/par"
 )
 
 // Instance is a one-sided preference instance. Construct with NewStrict,
@@ -75,7 +79,7 @@ var (
 	// post p may hold up to capacities[p] applicants, and len(capacities)
 	// determines the number of posts. NewCapacitatedWithTies is the
 	// explicit-ranks variant. Capacitated instances are solved through the
-	// post-cloning reduction; see Solver.Solve.
+	// post-cloning reduction; see the package doc.
 	NewCapacitated         = onesided.NewCapacitated
 	NewCapacitatedWithTies = onesided.NewCapacitatedWithTies
 	// Read parses the text format; Write emits it. Capacitated instances
@@ -132,50 +136,22 @@ type Request struct {
 	Mode    Mode
 	Weights WeightFn
 	// Trace, when non-nil, is filled with this solve's per-phase cost
-	// breakdown (rounds, work, wall time, barrier waits). The solve runs on
-	// a solve-local tracer, so the trace is exact even when other solves
-	// share the Solver; a traced solve's rounds do not accumulate into
-	// Options.Trace. See SolveTrace for the reuse contract.
+	// breakdown: rounds and work (the PRAM costs the paper's NC bounds are
+	// stated in), wall time and barrier waits. The solve runs on a
+	// solve-local tracer, so the trace is exact even when other solves
+	// share the Solver. See SolveTrace for the reuse contract.
 	Trace *SolveTrace
 }
 
-// Options configures a solver call or a Solver handle.
+// Options configures a Solver handle (or the throwaway one of a
+// package-level call).
 type Options struct {
 	// Workers sets the goroutine pool size; 0 shares the process-wide
 	// persistent pool (all CPUs), 1 is fully sequential and deterministic.
 	Workers int
-	// Trace, when non-nil, accumulates bulk-synchronous round and work
-	// counts — the PRAM cost measures the paper's NC results bound.
-	Trace *Stats
 }
 
-// Stats exposes the PRAM cost counters of a solver run.
-type Stats struct {
-	tracer par.Tracer
-}
-
-// Rounds is the number of bulk-synchronous parallel steps executed.
-func (s *Stats) Rounds() int64 { return s.tracer.Rounds() }
-
-// Work is the total number of elementary operations across rounds.
-func (s *Stats) Work() int64 { return s.tracer.Work() }
-
-// BarrierWaitNs is the accumulated time solve goroutines spent in round
-// completion barriers waiting for pool workers.
-func (s *Stats) BarrierWaitNs() int64 { return s.tracer.BarrierWaitNs() }
-
-// Phases returns the accumulated per-phase breakdown (phases with no
-// recorded activity are omitted). With concurrent solves sharing this Stats
-// the attribution is aggregate; use Request.Trace for an exact per-solve
-// trace.
-func (s *Stats) Phases() []PhaseTrace {
-	var t SolveTrace
-	t.fill(&s.tracer, 0)
-	return t.Phases
-}
-
-// oneShot runs fn on a throwaway Solver: the pre-Solver API surface is kept
-// as thin wrappers over the execution-context layer.
+// oneShot runs fn on a throwaway Solver.
 func oneShot[T any](o Options, fn func(*Solver) (T, error)) (T, error) {
 	s := NewSolver(o)
 	defer s.Close()
@@ -243,80 +219,18 @@ func SolveRequest(ins *Instance, req Request, o Options) (Result, error) {
 	})
 }
 
-// Solve finds a popular matching of a strictly-ordered instance, or reports
-// that none exists (Algorithm 1; Theorem 3).
-func Solve(ins *Instance, o Options) (Result, error) {
-	return oneShot(o, func(s *Solver) (Result, error) {
-		return s.Solve(context.Background(), ins)
-	})
-}
-
-// MaxCardinality finds a largest popular matching (Algorithm 3; Theorem 10).
-func MaxCardinality(ins *Instance, o Options) (Result, error) {
-	return oneShot(o, func(s *Solver) (Result, error) {
-		return s.MaxCardinality(context.Background(), ins)
-	})
-}
-
 // WeightFn scores assigning applicant a to post p (p may be a's last
 // resort, id NumPosts+a).
 type WeightFn = core.WeightFn
-
-// MaxWeight finds a maximum-weight popular matching (§IV-E).
-func MaxWeight(ins *Instance, w WeightFn, o Options) (Result, error) {
-	return oneShot(o, func(s *Solver) (Result, error) {
-		return s.MaxWeight(context.Background(), ins, w)
-	})
-}
-
-// MinWeight finds a minimum-weight popular matching (§IV-E).
-func MinWeight(ins *Instance, w WeightFn, o Options) (Result, error) {
-	return oneShot(o, func(s *Solver) (Result, error) {
-		return s.MinWeight(context.Background(), ins, w)
-	})
-}
-
-// RankMaximal finds a popular matching whose profile is lexicographically
-// maximal (most rank-1 assignments, then rank-2, ...; §IV-E).
-func RankMaximal(ins *Instance, o Options) (Result, error) {
-	return oneShot(o, func(s *Solver) (Result, error) {
-		return s.RankMaximal(context.Background(), ins)
-	})
-}
-
-// Fair finds a fair popular matching (fewest last resorts, then fewest
-// worst-rank assignments, ...; §IV-E). Fair popular matchings are always
-// maximum-cardinality.
-func Fair(ins *Instance, o Options) (Result, error) {
-	return oneShot(o, func(s *Solver) (Result, error) {
-		return s.Fair(context.Background(), ins)
-	})
-}
-
-// SolveTies finds a popular matching of an instance whose lists may contain
-// ties (§V; the AIKM characterization), optionally of maximum cardinality.
-func SolveTies(ins *Instance, maximizeCardinality bool, o Options) (Result, error) {
-	return oneShot(o, func(s *Solver) (Result, error) {
-		return s.SolveTies(context.Background(), ins, maximizeCardinality)
-	})
-}
-
-// Verify checks that m is popular: the Theorem 1 characterization for
-// strict instances, and reports nil exactly for popular matchings.
-func Verify(ins *Instance, m *Matching, o Options) error {
-	_, err := oneShot(o, func(s *Solver) (struct{}, error) {
-		return struct{}{}, s.Verify(context.Background(), ins, m)
-	})
-	return err
-}
 
 // UnpopularityMargin returns the best vote margin any challenger matching
 // achieves against m (≤ 0 iff m is popular). It runs the independent
 // Hungarian-algorithm oracle, O(n³); intended for verification, not hot
 // paths. On a capacitated instance the challengers range over capacitated
 // assignments (m.PostOf is read as a per-applicant post vector and must
-// respect capacities; see UnpopularityMarginAssignment); like the rest of
-// the onesided oracles it panics on a matching inconsistent with ins.
+// respect capacities); like the rest of the onesided oracles it panics on a
+// matching inconsistent with ins. Solver.UnpopularityMargin is the
+// cancellable form that returns errors instead.
 func UnpopularityMargin(ins *Instance, m *Matching) int {
 	if !ins.UnitCapacity() {
 		as, err := onesided.AssignmentFromPostOf(ins, m.PostOf)
@@ -330,22 +244,6 @@ func UnpopularityMargin(ins *Instance, m *Matching) int {
 		return margin
 	}
 	return onesided.UnpopularityMargin(ins, m)
-}
-
-// UnpopularityMarginAssignment is the capacitated margin oracle: the best
-// vote margin any applicant-complete assignment achieves against as, ≤ 0
-// iff as is popular. It runs on the cloned unit instance.
-func UnpopularityMarginAssignment(ins *Instance, as *Assignment) (int, error) {
-	return onesided.UnpopularityMarginAssignment(ins, as)
-}
-
-// VerifyAssignment checks that a capacitated assignment is popular via the
-// margin oracle; nil exactly for popular assignments.
-func VerifyAssignment(ins *Instance, as *Assignment, o Options) error {
-	_, err := oneShot(o, func(s *Solver) (struct{}, error) {
-		return struct{}{}, s.VerifyAssignment(context.Background(), ins, as)
-	})
-	return err
 }
 
 // Count returns the exact number of popular matchings (0 if none), without
@@ -380,17 +278,6 @@ func EnumerateAll(ins *Instance, o Options, yield func(*Matching) bool) (bool, e
 		defer s.putSession(sess)
 		return core.EnumerateAllPopular(ins, opt, yield)
 	})
-}
-
-// MaxBipartiteMatching computes a maximum-cardinality matching of the
-// bipartite graph given by adj (adj[l] lists the right neighbors of left
-// vertex l; nRight right vertices) via Theorem 11's reduction: every edge
-// becomes a rank-1 preference and the popular-matching black box is invoked.
-// Returns the right partner of each left vertex (-1 unmatched) and the size.
-func MaxBipartiteMatching(adj [][]int32, nRight int, o Options) (matchL []int32, size int, err error) {
-	s := NewSolver(o)
-	defer s.Close()
-	return s.MaxBipartiteMatching(context.Background(), adj, nRight)
 }
 
 // Generators re-exported for examples, tools and experiments.

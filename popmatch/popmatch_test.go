@@ -1,14 +1,15 @@
 package popmatch
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
 
 func TestQuickstartFlow(t *testing.T) {
 	ins := PaperInstance()
-	var stats Stats
-	res, err := Solve(ins, Options{Trace: &stats})
+	var tr SolveTrace
+	res, err := SolveRequest(ins, Request{Mode: ModePopular, Trace: &tr}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,10 +19,10 @@ func TestQuickstartFlow(t *testing.T) {
 	if res.PeelRounds != 1 {
 		t.Fatalf("PeelRounds = %d, want 1", res.PeelRounds)
 	}
-	if stats.Rounds() == 0 || stats.Work() == 0 {
+	if tr.Rounds == 0 || tr.Work == 0 {
 		t.Fatal("tracing recorded nothing")
 	}
-	if err := Verify(ins, res.Matching, Options{}); err != nil {
+	if err := newTestSolver(t, Options{}).Verify(context.Background(), ins, res.Matching); err != nil {
 		t.Fatal(err)
 	}
 	if m := UnpopularityMargin(ins, res.Matching); m > 0 {
@@ -32,11 +33,11 @@ func TestQuickstartFlow(t *testing.T) {
 func TestWorkerOptionMatters(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ins := RandomStrict(rng, 500, 400, 1, 6)
-	r1, err := Solve(ins, Options{Workers: 1})
+	r1, err := SolveRequest(ins, Request{Mode: ModePopular}, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rn, err := Solve(ins, Options{Workers: 8})
+	rn, err := SolveRequest(ins, Request{Mode: ModePopular}, Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,9 +45,8 @@ func TestWorkerOptionMatters(t *testing.T) {
 		t.Fatal("existence depends on worker count")
 	}
 	if r1.Exists && r1.Size != rn.Size {
-		// Both are popular; sizes may legitimately differ only for plain
-		// Solve? No: plain popular matchings can have different sizes, but
-		// our algorithm is deterministic given the instance, independent of
+		// Plain popular matchings can have different sizes, but the
+		// algorithm is deterministic given the instance, independent of
 		// scheduling.
 		t.Fatalf("size differs across worker counts: %d vs %d", r1.Size, rn.Size)
 	}
@@ -56,30 +56,31 @@ func TestAllSolversOnOneInstance(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	ins := RandomStrict(rng, 120, 80, 2, 6)
 	o := Options{}
-	plain, err := Solve(ins, o)
+	plain, err := SolveRequest(ins, Request{Mode: ModePopular}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !plain.Exists {
 		t.Skip("instance unsolvable; generator-dependent")
 	}
-	mc, err := MaxCardinality(ins, o)
+	mc, err := SolveRequest(ins, Request{Mode: ModeMaxCard}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fair, err := Fair(ins, o)
+	fair, err := SolveRequest(ins, Request{Mode: ModeFair}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rm, err := RankMaximal(ins, o)
+	rm, err := SolveRequest(ins, Request{Mode: ModeRankMaximal}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := newTestSolver(t, o)
 	for name, r := range map[string]Result{"maxcard": mc, "fair": fair, "rankmax": rm} {
 		if !r.Exists {
 			t.Fatalf("%s: lost existence", name)
 		}
-		if err := Verify(ins, r.Matching, o); err != nil {
+		if err := s.Verify(context.Background(), ins, r.Matching); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
@@ -98,11 +99,11 @@ func TestMaxMinWeight(t *testing.T) {
 		}
 		return int64((int(a)*7+int(p)*13)%10 + 1)
 	}
-	mx, err := MaxWeight(ins, w, o)
+	mx, err := SolveRequest(ins, Request{Mode: ModeMaxWeight, Weights: w}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mn, err := MinWeight(ins, w, o)
+	mn, err := SolveRequest(ins, Request{Mode: ModeMinWeight, Weights: w}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestMaxMinWeight(t *testing.T) {
 func TestSolveTiesPublic(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	ins := RandomTies(rng, 30, 20, 1, 5, 0.4)
-	res, err := SolveTies(ins, true, Options{})
+	res, err := SolveRequest(ins, Request{Mode: ModeTiesMax}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestGeneratorsExposed(t *testing.T) {
 		t.Fatal("RandomZipf wrong shape")
 	}
 	s := Solvable(rng, 10, 5, 3)
-	res, err := Solve(s, Options{})
+	res, err := SolveRequest(s, Request{Mode: ModePopular}, Options{})
 	if err != nil || !res.Exists {
 		t.Fatal("Solvable instance unsolvable")
 	}

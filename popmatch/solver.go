@@ -32,15 +32,13 @@ var ErrSolverClosed = errors.New("popmatch: solver is closed")
 // synchronous round boundaries, so aborted solves return promptly without
 // leaking goroutines.
 //
-// For a single throwaway computation the package-level functions (Solve,
-// MaxCardinality, ...) remain available as thin wrappers; a service handling
-// many instances should hold one Solver for the process lifetime and call
-// Solve/SolveRequest on it — repeated solves then reuse both workers and
-// scratch memory.
+// For a single throwaway computation the package-level SolveRequest builds
+// and closes a Solver per call; a service handling many instances should
+// hold one Solver for the process lifetime and call SolveRequest on it —
+// repeated solves then reuse both workers and scratch memory.
 type Solver struct {
 	pool     *par.Pool
 	ownPool  bool
-	tracer   *par.Tracer
 	sessions sync.Pool
 
 	// mu serializes Close against in-flight solves: every session checkout
@@ -55,7 +53,7 @@ type Solver struct {
 // session is one checked-out solve context: a scratch arena (which carries
 // the core kernel and its prebound loop closures across solves) plus a
 // reusable exec.Ctx re-pointed at the caller's context.Context per solve.
-// Pooling the pair makes a repeat Solve allocate nothing at the session
+// Pooling the pair makes a repeat solve allocate nothing at the session
 // layer.
 type session struct {
 	arena *exec.Arena
@@ -76,9 +74,6 @@ func NewSolver(o Options) *Solver {
 		s.ownPool = true
 	} else {
 		s.pool = par.Shared()
-	}
-	if o.Trace != nil {
-		s.tracer = &o.Trace.tracer
 	}
 	s.sessions.New = func() any { return &session{arena: exec.NewArena()} }
 	return s
@@ -112,23 +107,23 @@ func (s *Solver) session(ctx context.Context) (core.Options, *session, error) {
 		return core.Options{}, nil, ErrSolverClosed
 	}
 	sess := s.sessions.Get().(*session)
-	sess.cx.Reset(exec.Config{Context: ctx, Pool: s.pool, Tracer: s.tracer, Arena: sess.arena})
+	sess.cx.Reset(exec.Config{Context: ctx, Pool: s.pool, Arena: sess.arena})
 	return core.Options{Exec: &sess.cx}, sess, nil
 }
 
 // putSession drops the solve's context reference, recycles the session and
 // releases the checkout obtained by session.
 func (s *Solver) putSession(sess *session) {
-	sess.cx.Reset(exec.Config{Pool: s.pool, Tracer: s.tracer, Arena: sess.arena})
+	sess.cx.Reset(exec.Config{Pool: s.pool, Arena: sess.arena})
 	s.sessions.Put(sess)
 	s.mu.RUnlock()
 }
 
-// SolveRequest solves one Request — the unified entry point every other
-// solve method wraps. The mode picks the algorithm; instances constructed
-// with a capacity vector route through the clone reduction automatically
-// (reported in Result.Assignment), and the weighted modes reject capacitated
-// instances rather than mis-solving them.
+// SolveRequest solves one Request, the Solver's one solve entry point. The
+// mode picks the algorithm; instances constructed with a capacity vector
+// route through the clone reduction automatically (reported in
+// Result.Assignment), and the weighted modes reject capacitated instances
+// rather than mis-solving them.
 func (s *Solver) SolveRequest(ctx context.Context, ins *Instance, req Request) (Result, error) {
 	var res Result
 	if err := s.SolveRequestInto(ctx, ins, req, &res); err != nil {
@@ -190,93 +185,14 @@ func endTrace(sess *session, t *SolveTrace, start time.Time) {
 	t.fill(&sess.tracer, time.Since(start).Nanoseconds())
 }
 
-// Solve finds a popular matching of a strictly-ordered instance, or reports
-// that none exists (Algorithm 1; Theorem 3).
-//
-// Instances constructed with a capacity vector are solved through the
-// post-cloning reduction (capacity-c posts become c tied unit posts, the §V
-// ties solver runs on the cloned instance, and the result folds back); the
-// outcome is reported in Result.Assignment. A unit-capacity vector routes
-// to the exact uncapacitated code path.
-func (s *Solver) Solve(ctx context.Context, ins *Instance) (Result, error) {
-	return s.SolveRequest(ctx, ins, Request{Mode: ModePopular})
-}
-
-// SolveInto is Solve with result reuse; see SolveRequestInto for the
-// recycling contract.
-func (s *Solver) SolveInto(ctx context.Context, ins *Instance, res *Result) error {
-	return s.SolveRequestInto(ctx, ins, Request{Mode: ModePopular}, res)
-}
-
-// MaxCardinality finds a largest popular matching (Algorithm 3; Theorem 10).
-// Capacitated instances route through the clone reduction, maximizing the
-// number of applicants on real posts among popular assignments.
-func (s *Solver) MaxCardinality(ctx context.Context, ins *Instance) (Result, error) {
-	return s.SolveRequest(ctx, ins, Request{Mode: ModeMaxCard})
-}
-
-// requireUnit rejects capacitated instances on the solver surfaces that have
-// no clone-reduction route yet; silently treating capacities as 1 would
-// return wrong answers.
+// requireUnit rejects capacitated instances on the surfaces that have no
+// clone-reduction route; silently treating capacities as 1 would return
+// wrong answers.
 func requireUnit(ins *Instance, method string) error {
 	if !ins.UnitCapacity() {
-		return fmt.Errorf("popmatch: %s does not support capacitated instances; use Solve, MaxCardinality or SolveTies", method)
+		return fmt.Errorf("popmatch: %s does not support capacitated instances; solve them in mode popular, maxcard, ties or tiesmax and check them with VerifyAssignment", method)
 	}
 	return nil
-}
-
-// MaxWeight finds a maximum-weight popular matching (§IV-E).
-func (s *Solver) MaxWeight(ctx context.Context, ins *Instance, w WeightFn) (Result, error) {
-	if err := requireUnit(ins, "MaxWeight"); err != nil {
-		return Result{}, err
-	}
-	return s.SolveRequest(ctx, ins, Request{Mode: ModeMaxWeight, Weights: w})
-}
-
-// MinWeight finds a minimum-weight popular matching (§IV-E).
-func (s *Solver) MinWeight(ctx context.Context, ins *Instance, w WeightFn) (Result, error) {
-	if err := requireUnit(ins, "MinWeight"); err != nil {
-		return Result{}, err
-	}
-	return s.SolveRequest(ctx, ins, Request{Mode: ModeMinWeight, Weights: w})
-}
-
-// RankMaximal finds a popular matching whose profile is lexicographically
-// maximal (§IV-E).
-func (s *Solver) RankMaximal(ctx context.Context, ins *Instance) (Result, error) {
-	if err := requireUnit(ins, "RankMaximal"); err != nil {
-		return Result{}, err
-	}
-	return s.SolveRequest(ctx, ins, Request{Mode: ModeRankMaximal})
-}
-
-// Fair finds a fair popular matching (§IV-E).
-func (s *Solver) Fair(ctx context.Context, ins *Instance) (Result, error) {
-	if err := requireUnit(ins, "Fair"); err != nil {
-		return Result{}, err
-	}
-	return s.SolveRequest(ctx, ins, Request{Mode: ModeFair})
-}
-
-// SolveTies finds a popular matching of an instance whose lists may contain
-// ties (§V), optionally of maximum cardinality. Capacitated instances route
-// through the clone reduction (see Solve).
-func (s *Solver) SolveTies(ctx context.Context, ins *Instance, maximizeCardinality bool) (Result, error) {
-	mode := ModeTies
-	if maximizeCardinality {
-		mode = ModeTiesMax
-	}
-	return s.SolveRequest(ctx, ins, Request{Mode: mode})
-}
-
-// SolveTiesInto is SolveTies with result reuse; see SolveRequestInto for
-// the recycling contract.
-func (s *Solver) SolveTiesInto(ctx context.Context, ins *Instance, maximizeCardinality bool, res *Result) error {
-	mode := ModeTies
-	if maximizeCardinality {
-		mode = ModeTiesMax
-	}
-	return s.SolveRequestInto(ctx, ins, Request{Mode: mode}, res)
 }
 
 // Verify checks that m is popular (Theorem 1 characterization).
@@ -339,8 +255,11 @@ func (s *Solver) UnpopularityMargin(ctx context.Context, ins *Instance, m *Match
 	return onesided.UnpopularityMarginCtx(opt.Exec, ins, m), nil
 }
 
-// MaxBipartiteMatching computes a maximum-cardinality bipartite matching via
-// Theorem 11's reduction; see the package-level function for the contract.
+// MaxBipartiteMatching computes a maximum-cardinality matching of the
+// bipartite graph given by adj (adj[l] lists the right neighbors of left
+// vertex l; nRight right vertices) via Theorem 11's reduction: every edge
+// becomes a rank-1 preference and the popular-matching black box is invoked.
+// Returns the right partner of each left vertex (-1 unmatched) and the size.
 func (s *Solver) MaxBipartiteMatching(ctx context.Context, adj [][]int32, nRight int) ([]int32, int, error) {
 	opt, sess, err := s.session(ctx)
 	if err != nil {

@@ -5,9 +5,18 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
+	"strconv"
 	"testing"
 	"time"
 )
+
+// newTestSolver returns a Solver that is closed when the test ends.
+func newTestSolver(t testing.TB, o Options) *Solver {
+	s := NewSolver(o)
+	t.Cleanup(s.Close)
+	return s
+}
 
 func solvableInstance(t testing.TB, n int) *Instance {
 	t.Helper()
@@ -17,13 +26,13 @@ func solvableInstance(t testing.TB, n int) *Instance {
 
 func TestSolverMatchesOneShot(t *testing.T) {
 	ins := solvableInstance(t, 500)
-	want, err := Solve(ins, Options{})
+	want, err := SolveRequest(ins, Request{Mode: ModePopular}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := NewSolver(Options{})
 	defer s.Close()
-	got, err := s.Solve(context.Background(), ins)
+	got, err := s.SolveRequest(context.Background(), ins, Request{Mode: ModePopular})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,12 +52,12 @@ func TestSolverPoolReuseDeterministic(t *testing.T) {
 	ins := solvableInstance(t, 800)
 	s := NewSolver(Options{Workers: 1})
 	defer s.Close()
-	first, err := s.Solve(context.Background(), ins)
+	first, err := s.SolveRequest(context.Background(), ins, Request{Mode: ModePopular})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 5; round++ {
-		got, err := s.Solve(context.Background(), ins)
+		got, err := s.SolveRequest(context.Background(), ins, Request{Mode: ModePopular})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,14 +81,14 @@ func TestSolverCancellation(t *testing.T) {
 	defer s.Close()
 	// Warm the pool so its (persistent, expected) workers are excluded from
 	// the leak accounting.
-	if _, err := s.Solve(context.Background(), ins); err != nil {
+	if _, err := s.SolveRequest(context.Background(), ins, Request{Mode: ModePopular}); err != nil {
 		t.Fatal(err)
 	}
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err := s.Solve(ctx, ins)
+	_, err := s.SolveRequest(ctx, ins, Request{Mode: ModePopular})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -94,7 +103,7 @@ func TestSolverCancellation(t *testing.T) {
 		t.Fatalf("goroutines grew from %d to %d after cancelled solve", before, got)
 	}
 	// The solver must remain usable after a cancelled solve.
-	res, err := s.Solve(context.Background(), ins)
+	res, err := s.SolveRequest(context.Background(), ins, Request{Mode: ModePopular})
 	if err != nil || !res.Exists {
 		t.Fatalf("solve after cancellation: res=%+v err=%v", res, err)
 	}
@@ -107,8 +116,8 @@ func TestSolverCancellationTies(t *testing.T) {
 	defer s.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.SolveTies(ctx, ins, true); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SolveTies err = %v, want context.Canceled", err)
+	if _, err := s.SolveRequest(ctx, ins, Request{Mode: ModeTiesMax}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("tiesmax err = %v, want context.Canceled", err)
 	}
 }
 
@@ -116,7 +125,7 @@ func TestSolverConcurrentUse(t *testing.T) {
 	ins := solvableInstance(t, 400)
 	s := NewSolver(Options{})
 	defer s.Close()
-	want, err := s.Solve(context.Background(), ins)
+	want, err := s.SolveRequest(context.Background(), ins, Request{Mode: ModePopular})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +133,7 @@ func TestSolverConcurrentUse(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		go func() {
 			for i := 0; i < 10; i++ {
-				got, err := s.Solve(context.Background(), ins)
+				got, err := s.SolveRequest(context.Background(), ins, Request{Mode: ModePopular})
 				if err != nil {
 					done <- err
 					return
@@ -155,7 +164,7 @@ func BenchmarkSolverReuse(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Solve(ctx, ins); err != nil {
+		if _, err := s.SolveRequest(ctx, ins, Request{Mode: ModePopular}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -168,7 +177,7 @@ func BenchmarkOneShotSolve(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Solve(ins, Options{}); err != nil {
+		if _, err := SolveRequest(ins, Request{Mode: ModePopular}, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -178,7 +187,7 @@ func TestSolverUnpopularityMarginCancellable(t *testing.T) {
 	ins := solvableInstance(t, 400)
 	s := NewSolver(Options{})
 	defer s.Close()
-	res, err := s.Solve(context.Background(), ins)
+	res, err := s.SolveRequest(context.Background(), ins, Request{Mode: ModePopular})
 	if err != nil || !res.Exists {
 		t.Fatalf("setup solve: %+v %v", res, err)
 	}
@@ -193,5 +202,38 @@ func TestSolverUnpopularityMarginCancellable(t *testing.T) {
 	cancel()
 	if _, err := s.UnpopularityMargin(ctx, ins, res.Matching); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// BenchmarkStrictWorkers times a reused solver's popular solve of one
+// n = 2·10⁵ instance at 1 and 4 workers and fails if a worker count returns
+// a different matching from a sequential solve. CI requires 4 workers to be
+// at least 1.25x faster on runners with 4 or more CPUs.
+func BenchmarkStrictWorkers(b *testing.B) {
+	ins := Solvable(rand.New(rand.NewSource(7)), 200_000, 50_000, 5)
+	req := Request{Mode: ModePopular}
+	want, err := SolveRequest(ins, req, Options{Workers: 1})
+	if err != nil || !want.Exists {
+		b.Fatalf("reference solve: exists=%v err=%v", want.Exists, err)
+	}
+	for _, w := range []int{1, 4} {
+		b.Run(strconv.Itoa(w), func(b *testing.B) {
+			s := NewSolver(Options{Workers: w})
+			defer s.Close()
+			ctx := context.Background()
+			var res Result
+			if err := s.SolveRequestInto(ctx, ins, req, &res); err != nil { // warm the session
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.SolveRequestInto(ctx, ins, req, &res); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if !slices.Equal(res.Matching.PostOf, want.Matching.PostOf) {
+				b.Fatalf("workers=%d matching differs from workers=1", w)
+			}
+		})
 	}
 }

@@ -137,7 +137,7 @@ func BenchmarkSolveOverheadPlain(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.SolveInto(ctx, ins, &res); err != nil {
+		if err := s.SolveRequestInto(ctx, ins, Request{Mode: ModePopular}, &res); err != nil {
 			b.Fatal(err)
 		}
 	}
