@@ -1,8 +1,11 @@
-// Benchmarks: one family per experiment table T1..T8 of cmd/popbench. The
-// paper is a theory paper without measured tables, so these benchmarks time
-// the quantities its figures, lemmas and theorems predict; `go test
-// -bench=. -benchmem` runs everything and cmd/popbench prints the tables.
-// End-to-end performance is measured by bash benchmark/run.sh.
+// Benchmarks: one family per paper claim T1..T8. The paper is a theory
+// paper without measured tables, so these benchmarks time the quantities
+// its figures, lemmas and theorems predict; `go test -bench=. -benchmem`
+// runs everything. They gate nothing: the claims themselves are asserted by
+// the tests of internal/core, internal/pseudoforest and internal/stable
+// (rounds and work by TestTracerRoundsPolylog and
+// TestAlgorithm4RoundsPolylog). End-to-end performance is measured by
+// bash benchmark/run.sh.
 package repro
 
 import (

@@ -156,28 +156,17 @@ func TestCLIGenInstanceScaling(t *testing.T) {
 	}
 }
 
-func TestCLIPopbenchSingleTable(t *testing.T) {
-	if testing.Short() {
-		t.Skip("CLI integration test")
-	}
-	out, err := runTool(t, "", "./cmd/popbench", "-table", "T1")
-	if err != nil {
-		t.Fatalf("popbench: %v\n%s", err, out)
-	}
-	if !strings.Contains(out, "T1 — Lemma 2") || !strings.Contains(out, "broom d=16") {
-		t.Fatalf("table output incomplete:\n%s", out)
-	}
-}
-
 func TestCLIRejectsBadFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI integration test")
 	}
-	if out, err := runTool(t, "posts 1\na0: p0\n", "./cmd/popmatch", "-mode", "nonsense"); err == nil {
+	// The mode error speaks the CLI's language, not an internal package's.
+	out, err := runTool(t, "posts 1\na0: p0\n", "./cmd/popmatch", "-mode", "nonsense")
+	if err == nil {
 		t.Fatalf("bad mode accepted:\n%s", out)
 	}
-	if out, err := runTool(t, "", "./cmd/popbench", "-table", "T99"); err == nil {
-		t.Fatalf("bad table accepted:\n%s", out)
+	if !strings.HasPrefix(out, `popmatch: unknown mode "nonsense" (valid: popular,`) {
+		t.Fatalf("bad mode error = %q", out)
 	}
 	if out, err := runTool(t, "", "./cmd/geninstance", "-kind", "nonsense"); err == nil {
 		t.Fatalf("bad kind accepted:\n%s", out)

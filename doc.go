@@ -15,7 +15,7 @@
 // popmatch.SolveRequest runs one request on a throwaway Solver.
 //
 // Every solve surface dispatches through one mode-driven engine
-// (internal/core.Engine): a Request carries a Mode — popular, maxcard,
+// (internal/core, engine.go): a Request carries a Mode — popular, maxcard,
 // ties, tiesmax, maxweight, minweight, rankmaximal, fair — from the single
 // enum that core defines, popmatch re-exports, and internal/serve and the
 // CLIs parse, so routing (capacitated clone reduction, strictness checks,
@@ -118,7 +118,7 @@
 // Instance.Expanded). An Instance is consequently immutable once solved or
 // queried; mutate-then-Invalidate is the documented escape hatch, enforced
 // by `-tags debug` builds. See the README's "Architecture" section for the
-// layer stack (onesided → core.Engine → exec → popmatch → serve → shard →
+// layer stack (onesided → core engine → exec → popmatch → serve → shard →
 // cmd) and when CSR vs Instance is the right type.
 //
 // The paper's PRAM rounds run on the internal/par substrate: a persistent
@@ -135,9 +135,10 @@
 // same identity check. See the README's "Parallelism" section.
 //
 // The parallel substrate and algorithm internals are under internal/; see
-// README.md for the package map. cmd/popbench prints the experiment tables
-// T1..T8, which check the paper's lemmas and theorems on generated
-// instances, and the benchmarks in bench_test.go time the same quantities
-// (one benchmark family per table). End-to-end performance is measured by
-// bash benchmark/run.sh.
+// README.md for the package map. go test checks the paper's lemmas and
+// theorems on generated instances; TestTracerRoundsPolylog (internal/core)
+// and TestAlgorithm4RoundsPolylog (internal/stable) pin the NC bounds as
+// rounds ≤ c₁·L² and work ≤ c₂·N·L, and print every measured ratio under
+// -v. The benchmarks in bench_test.go time the same quantities and gate
+// nothing. End-to-end performance is measured by bash benchmark/run.sh.
 package repro

@@ -52,7 +52,10 @@ func main() {
 	if err := s.Verify(ctx, ins, res.Matching); err != nil {
 		log.Fatalf("Theorem 1 verification failed: %v", err)
 	}
-	margin := popmatch.UnpopularityMargin(ins, res.Matching)
+	margin, err := s.UnpopularityMargin(ctx, ins, res.Matching)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("verified: Theorem 1 holds; unpopularity margin = %d (popular iff <= 0)\n", margin)
 
 	// Theorem 9: the instance has exactly 6 popular matchings.

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -20,11 +21,14 @@ import (
 
 func main() {
 	rng := rand.New(rand.NewSource(7))
+	s := popmatch.NewSolver(popmatch.Options{})
+	defer s.Close()
+	ctx := context.Background()
 
 	fmt.Println("ties: 300 residents, 260 programs, tie probability 0.35")
 	ins := popmatch.RandomTies(rng, 300, 260, 2, 7, 0.35)
 	tiesMax := popmatch.Request{Mode: popmatch.ModeTiesMax}
-	res, err := popmatch.SolveRequest(ins, tiesMax, popmatch.Options{})
+	res, err := s.SolveRequest(ctx, ins, tiesMax)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +55,7 @@ func main() {
 		solvable := 0
 		for trial := 0; trial < 20; trial++ {
 			strict := popmatch.RandomStrict(rng, residents, programs, 3, 6)
-			r, err := popmatch.SolveRequest(strict, popmatch.Request{Mode: popmatch.ModePopular}, popmatch.Options{})
+			r, err := s.SolveRequest(ctx, strict, popmatch.Request{Mode: popmatch.ModePopular})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -64,12 +68,15 @@ func main() {
 
 	// Small sanity run with the full oracle.
 	small := popmatch.RandomTies(rng, 12, 10, 1, 4, 0.4)
-	sres, err := popmatch.SolveRequest(small, tiesMax, popmatch.Options{})
+	sres, err := s.SolveRequest(ctx, small, tiesMax)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if sres.Exists {
-		margin := popmatch.UnpopularityMargin(small, sres.Matching)
+		margin, err := s.UnpopularityMargin(ctx, small, sres.Matching)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("\noracle check on a 12-resident instance: unpopularity margin = %d (<= 0 means popular)\n", margin)
 	} else {
 		fmt.Println("\noracle check skipped: small draw unsolvable")

@@ -63,7 +63,7 @@ type DeltaStats struct {
 // the mutation epoch they correspond to, and the scratch the delta path
 // reuses. The zero value is ready to use (the first solve is a full
 // capture). A state serves exactly one Instance; handing it a different
-// instance resets it. Not safe for concurrent use — like the Engine, it
+// instance resets it. Not safe for concurrent use — like the engine, it
 // belongs to one session.
 type DeltaState struct {
 	ins    *onesided.Instance
@@ -129,7 +129,7 @@ func SolveDeltaRequest(ins *onesided.Instance, req Request, st *DeltaState, opt 
 	return engineFor(cx).solveDelta(cx, ins, req, st)
 }
 
-func (e *Engine) solveDelta(cx *exec.Ctx, ins *onesided.Instance, req Request, st *DeltaState) (Outcome, error) {
+func (e *engine) solveDelta(cx *exec.Ctx, ins *onesided.Instance, req Request, st *DeltaState) (Outcome, error) {
 	if req.Mode != ModePopular || ins.Capacities != nil || !ins.CSR().Strict() {
 		// No warm route for this request shape; plain dispatch, state untouched.
 		return e.solve(cx, ins, req)
@@ -163,7 +163,7 @@ func (e *Engine) solveDelta(cx *exec.Ctx, ins *onesided.Instance, req Request, s
 // deltaFull is the capture path: one full strict solve, with the reduced
 // graph's (f, s) arrays and the result matching copied into the state before
 // the kernel scratch is released, and the G′ index built over them.
-func (e *Engine) deltaFull(cx *exec.Ctx, ins *onesided.Instance, st *DeltaState, into *onesided.Matching) (Outcome, error) {
+func (e *engine) deltaFull(cx *exec.Ctx, ins *onesided.Instance, st *DeltaState, into *onesided.Matching) (Outcome, error) {
 	st.valid = false // stays false if the solve is interrupted mid-capture
 	r, err := e.buildReduced(cx, ins)
 	if err != nil {
@@ -254,7 +254,7 @@ func (st *DeltaState) nextGen() uint32 {
 // Trace attribution: the (f, s) update, component search, sub-instance
 // construction and the final splice all land on PhaseSplice; the embedded
 // sub-solve reports its own validate/build-reduced/peel/promote spans.
-func (e *Engine) deltaWarm(cx *exec.Ctx, ins *onesided.Instance, st *DeltaState, rows []int32, into *onesided.Matching) (Outcome, error) {
+func (e *engine) deltaWarm(cx *exec.Ctx, ins *onesided.Instance, st *DeltaState, rows []int32, into *onesided.Matching) (Outcome, error) {
 	cx.Phase(par.PhaseSplice)
 	c := ins.CSR()
 	n1, n2 := st.n1, st.n2

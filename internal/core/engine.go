@@ -13,7 +13,7 @@ import (
 // The unified solve engine: one mode-dispatched entry point over every
 // algorithm in this package, with all scratch state — the strict-path kernel
 // of kernel.go, the §V ties kernel of tieskernel.go, and the big.Int pool of
-// the rank-maximal/fair weight arithmetic — owned by one Engine that lives
+// the rank-maximal/fair weight arithmetic — owned by one engine that lives
 // on the solve session's arena. Callers construct a Request instead of
 // picking an entry point: SolveRequest and its warm-start twin
 // SolveDeltaRequest (delta.go) are the package's only solve functions.
@@ -60,22 +60,22 @@ type Outcome struct {
 	Rank1Size, MaxRank1 int
 }
 
-// Engine is the mode-dispatched solve engine. One Engine bundles every
-// arena-resident kernel, so repeated solves through the same Engine reuse
+// engine is the mode-dispatched solve engine. One engine bundles every
+// arena-resident kernel, so repeated solves through the same engine reuse
 // scratch, prebound loop closures and pooled big.Ints across all modes. An
-// Engine is not safe for concurrent use; popmatch.Solver keeps one per
+// engine is not safe for concurrent use; popmatch.Solver keeps one per
 // pooled session (via the session arena's Aux slot) and checks sessions out
 // per solve.
-type Engine struct {
+type engine struct {
 	k    kernel
 	ties tiesKernel
 	bigs bigPool
 	pow  powerCache
 }
 
-// newEngine returns an Engine with its loop closures bound.
-func newEngine() *Engine {
-	e := &Engine{}
+// newEngine returns an engine with its loop closures bound.
+func newEngine() *engine {
+	e := &engine{}
 	e.k.init()
 	e.ties.init()
 	return e
@@ -84,12 +84,12 @@ func newEngine() *Engine {
 // engineFor returns the session's engine: the one cached on the execution
 // context's arena when there is one (installing it on first use), or a fresh
 // engine for arena-less one-shot contexts.
-func engineFor(cx *exec.Ctx) *Engine {
+func engineFor(cx *exec.Ctx) *engine {
 	ar := cx.Arena()
 	if ar == nil {
 		return newEngine()
 	}
-	if e, ok := ar.Aux.(*Engine); ok {
+	if e, ok := ar.Aux.(*engine); ok {
 		return e
 	}
 	e := newEngine()
@@ -109,7 +109,7 @@ func SolveRequest(ins *onesided.Instance, req Request, opt Options) (out Outcome
 // solve dispatches a request. Instances carrying a capacity vector route
 // through the clone reduction; unit instances dispatch on mode and
 // strictness.
-func (e *Engine) solve(cx *exec.Ctx, ins *onesided.Instance, req Request) (Outcome, error) {
+func (e *engine) solve(cx *exec.Ctx, ins *onesided.Instance, req Request) (Outcome, error) {
 	if !req.Mode.Valid() {
 		return Outcome{}, fmt.Errorf("core: invalid mode %s", req.Mode)
 	}
@@ -154,7 +154,7 @@ func (e *Engine) solve(cx *exec.Ctx, ins *onesided.Instance, req Request) (Outco
 	}
 	// Every mode passing Valid() is dispatched above; reaching here means a
 	// mode was added to the enum without a dispatch case.
-	panic(fmt.Sprintf("core: mode %s missing from Engine dispatch", req.Mode))
+	panic(fmt.Sprintf("core: mode %s missing from engine dispatch", req.Mode))
 }
 
 // requireUnitMode rejects capacitated instances on modes with no
@@ -183,7 +183,7 @@ func cardinalityWeights(ins *onesided.Instance) WeightFn {
 // into is Reset and used as the result matching. The release is deferred
 // so a cancellation panic still returns the G′ arrays to the pooled
 // session's arena.
-func (e *Engine) popularStrict(cx *exec.Ctx, ins *onesided.Instance, into *onesided.Matching) (Outcome, error) {
+func (e *engine) popularStrict(cx *exec.Ctx, ins *onesided.Instance, into *onesided.Matching) (Outcome, error) {
 	r, err := e.buildReduced(cx, ins)
 	if err != nil {
 		return Outcome{}, err
@@ -197,7 +197,7 @@ func (e *Engine) popularStrict(cx *exec.Ctx, ins *onesided.Instance, into *onesi
 }
 
 // buildReduced runs the kernel's G′ construction for a strict instance.
-func (e *Engine) buildReduced(cx *exec.Ctx, ins *onesided.Instance) (*Reduced, error) {
+func (e *engine) buildReduced(cx *exec.Ctx, ins *onesided.Instance) (*Reduced, error) {
 	cx.Phase(par.PhaseValidate)
 	c := ins.CSR()
 	if !c.Strict() {
@@ -212,7 +212,7 @@ func (e *Engine) buildReduced(cx *exec.Ctx, ins *onesided.Instance) (*Reduced, e
 
 // optimize is the §IV-E weighted engine with int64 weights: find any popular
 // matching, then apply the best positive-margin switch per component.
-func (e *Engine) optimize(cx *exec.Ctx, ins *onesided.Instance, w WeightFn, maximize bool, into *onesided.Matching) (Outcome, error) {
+func (e *engine) optimize(cx *exec.Ctx, ins *onesided.Instance, w WeightFn, maximize bool, into *onesided.Matching) (Outcome, error) {
 	r, err := e.buildReduced(cx, ins)
 	if err != nil {
 		return Outcome{}, err
@@ -243,7 +243,7 @@ func (e *Engine) optimize(cx *exec.Ctx, ins *onesided.Instance, w WeightFn, maxi
 // weights of rank-maximal and fair), drawing every intermediate big.Int from
 // the engine's pool — the pool resets when the solve completes, so repeat
 // solves reuse the same allocations.
-func (e *Engine) bigOptimize(cx *exec.Ctx, ins *onesided.Instance, w func(a, p int32) *big.Int, maximize bool, into *onesided.Matching) (Outcome, error) {
+func (e *engine) bigOptimize(cx *exec.Ctx, ins *onesided.Instance, w func(a, p int32) *big.Int, maximize bool, into *onesided.Matching) (Outcome, error) {
 	r, err := e.buildReduced(cx, ins)
 	if err != nil {
 		return Outcome{}, err
@@ -276,7 +276,7 @@ func (e *Engine) bigOptimize(cx *exec.Ctx, ins *onesided.Instance, w func(a, p i
 // ≻_R. Per §IV-E it is the maximum-weight popular matching with
 // w(a, p@rank k) = B^(n2−k+1) (0 for last resorts), B = n1+1 chosen so
 // positional sums never carry (the paper uses n1; any base > n1 works).
-func (e *Engine) rankMaximal(cx *exec.Ctx, ins *onesided.Instance, into *onesided.Matching) (Outcome, error) {
+func (e *engine) rankMaximal(cx *exec.Ctx, ins *onesided.Instance, into *onesided.Matching) (Outcome, error) {
 	n2 := ins.NumPosts
 	pow := e.pow.table(int64(ins.NumApplicants)+1, n2+2)
 	zero := new(big.Int)
@@ -292,7 +292,7 @@ func (e *Engine) rankMaximal(cx *exec.Ctx, ins *onesided.Instance, into *oneside
 // fair finds a fair popular matching: profile minimal under ≺_F. Per §IV-E
 // it is the minimum-weight popular matching with w(a, p@rank k) = B^k, where
 // a last-resort match counts at rank n2+1.
-func (e *Engine) fair(cx *exec.Ctx, ins *onesided.Instance, into *onesided.Matching) (Outcome, error) {
+func (e *engine) fair(cx *exec.Ctx, ins *onesided.Instance, into *onesided.Matching) (Outcome, error) {
 	n2 := ins.NumPosts
 	pow := e.pow.table(int64(ins.NumApplicants)+1, n2+2)
 	return e.bigOptimize(cx, ins, func(a, p int32) *big.Int {
@@ -315,7 +315,7 @@ func (e *Engine) fair(cx *exec.Ctx, ins *onesided.Instance, into *onesided.Match
 // or the ties kernel), so they return the same matching as an instance
 // without a vector; maximizeCardinality maximizes the number of applicants
 // on real posts among popular assignments.
-func (e *Engine) solveCapacitated(cx *exec.Ctx, ins *onesided.Instance, maximizeCardinality bool, into *onesided.Matching) (Outcome, error) {
+func (e *engine) solveCapacitated(cx *exec.Ctx, ins *onesided.Instance, maximizeCardinality bool, into *onesided.Matching) (Outcome, error) {
 	if ins.UnitCapacity() {
 		var out Outcome
 		var err error

@@ -5,7 +5,7 @@ import "fmt"
 // Mode selects a solve surface of the unified engine. It is the ONE enum
 // every layer speaks: core dispatches on it, popmatch re-exports it, the
 // serve request layer and the CLIs parse it off the wire. Adding a mode means
-// adding a case to Engine dispatch — every caller picks it up for free.
+// adding a case to the engine dispatch — every caller picks it up for free.
 type Mode uint8
 
 const (
@@ -79,7 +79,7 @@ func ParseMode(s string) (Mode, error) {
 			return m, nil
 		}
 	}
-	return 0, fmt.Errorf("core: unknown mode %q (valid: %s)", s, ModeNames())
+	return 0, fmt.Errorf("unknown mode %q (valid: %s)", s, ModeNames())
 }
 
 // ModeNames returns the canonical mode names, comma-separated — the help

@@ -227,6 +227,13 @@ func TestLemma2RoundBound(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		check("random", onesided.RandomStrict(rng, 10+rng.Intn(300), 10+rng.Intn(300), 1, 6))
 	}
+	// The T1 sizes: square instances with short lists at n = 10³…10⁵.
+	for _, n := range []int{1000, 10000, 100000} {
+		if n > 10000 && testing.Short() {
+			break
+		}
+		check("random", onesided.RandomStrict(rng, n, n, 1, 6))
+	}
 	for depth := 1; depth <= 9; depth++ {
 		check("broom", onesided.BinaryBroom(depth))
 	}
@@ -234,7 +241,7 @@ func TestLemma2RoundBound(t *testing.T) {
 
 func TestBinaryBroomForcesDepthRounds(t *testing.T) {
 	opt := Options{}
-	for depth := 2; depth <= 8; depth++ {
+	for _, depth := range []int{2, 3, 4, 5, 6, 7, 8, 12, 16} {
 		ins := onesided.BinaryBroom(depth)
 		res, err := SolveRequest(ins, Request{Mode: ModePopular}, opt)
 		if err != nil {
@@ -339,26 +346,85 @@ func TestPopularAllSameList(t *testing.T) {
 	}
 }
 
+// --- E12: the NC bounds of Theorems 3 and 10, as gates ---
+
+// The paper's NC claims, pinned: a solve of an n-applicant instance takes
+// at most c₁·L² bulk-synchronous rounds and c₂·n·L units of work, where
+// L = par.Iterations(2n) (Lemma 2's log factor on top of the O(log n)
+// doubling rounds per peel iteration). Rounds and work come from
+// par.Tracer, so they do not depend on timing. Each constant is the largest
+// ratio measured over seeds 1–3, n = 10³, 10⁴, 10⁵ and P = 1, 2, plus 10%.
+// The constants only ratchet down: a change that lowers rounds or work
+// lowers its constant in the same change.
+const (
+	// RandomStrict(n, n, 1, 6).
+	randomPopularRounds = 1.1 * 96 / 121  // max 96 rounds at L = 11 (n = 10³, seed 1)
+	randomPopularWork   = 1.1 * 35.3883   // max 35.3883·n·L (n = 10⁵, seed 2, P = 2)
+	randomMaxCardRounds = 1.1 * 130 / 121 // max 130 rounds at L = 11 (n = 10³, seed 1)
+	randomMaxCardWork   = 1.1 * 38.8943   // max 38.8943·n·L (n = 10⁵, seed 2, P = 2)
+	// Solvable(n, n/4, 5).
+	solvablePopularRounds = 1.1 * 29 / 121 // max 29 rounds at L = 11 (n = 10³, every seed)
+	solvablePopularWork   = 1.1 * 5.4345   // max 5.4345·n·L (n = 10³, seed 2)
+	solvableMaxCardRounds = 1.1 * 47 / 121 // max 47 rounds at L = 11 (n = 10³, every seed)
+	solvableMaxCardWork   = 1.1 * 7.5231   // max 7.5231·n·L (n = 10³, seed 2)
+)
+
+// TestTracerRoundsPolylog gates every (family, mode) pair on its constants
+// at P = 1 and P = 2. Round counts must not depend on the worker count;
+// work may (a chunked scan charges its chunk count), so each P's work is
+// bounded on its own. `go test -run TracerRoundsPolylog -v` prints every
+// ratio. n = 10⁵ is skipped under -short.
 func TestTracerRoundsPolylog(t *testing.T) {
-	// E12: the whole pipeline's bulk-synchronous rounds must scale
-	// polylogarithmically (with Lemma 2's log factor on top of the O(log n)
-	// doubling rounds per peel iteration).
-	rng := rand.New(rand.NewSource(95))
-	prev := int64(0)
-	for _, n := range []int{100, 1000, 10000} {
-		ins := onesided.RandomStrict(rng, n, n, 1, 6)
-		var tr par.Tracer
-		if _, err := SolveRequest(ins, Request{Mode: ModePopular}, Options{Tracer: &tr}); err != nil {
-			t.Fatal(err)
+	random := func(rng *rand.Rand, n int) *onesided.Instance { return onesided.RandomStrict(rng, n, n, 1, 6) }
+	solvable := func(rng *rand.Rand, n int) *onesided.Instance { return onesided.Solvable(rng, n, n/4, 5) }
+	gates := []struct {
+		family       string
+		gen          func(*rand.Rand, int) *onesided.Instance
+		mode         Mode
+		rounds, work float64
+	}{
+		{"random", random, ModePopular, randomPopularRounds, randomPopularWork},
+		{"random", random, ModeMaxCard, randomMaxCardRounds, randomMaxCardWork},
+		{"solvable", solvable, ModePopular, solvablePopularRounds, solvablePopularWork},
+		{"solvable", solvable, ModeMaxCard, solvableMaxCardRounds, solvableMaxCardWork},
+	}
+	sizes := []int{1000, 10000, 100000}
+	if testing.Short() {
+		sizes = sizes[:2]
+	}
+	pools := []*par.Pool{par.NewPool(1), par.NewPool(2)}
+	defer pools[0].Close()
+	defer pools[1].Close()
+	for _, g := range gates {
+		for _, n := range sizes {
+			lg := float64(par.Iterations(2 * n))
+			for seed := int64(1); seed <= 3; seed++ {
+				ins := g.gen(rand.New(rand.NewSource(seed)), n)
+				var rounds [2]int64
+				for i, pool := range pools {
+					var tr par.Tracer
+					if _, err := SolveRequest(ins, Request{Mode: g.mode}, Options{Pool: pool, Tracer: &tr}); err != nil {
+						t.Fatal(err)
+					}
+					rounds[i] = tr.Rounds()
+					r := float64(tr.Rounds()) / (lg * lg)
+					w := float64(tr.Work()) / (float64(n) * lg)
+					t.Logf("%s %s n=%d seed=%d P=%d: %d rounds = %.4f·L², work %d = %.4f·n·L",
+						g.family, g.mode, n, seed, i+1, tr.Rounds(), r, tr.Work(), w)
+					if r > g.rounds {
+						t.Errorf("%s %s n=%d seed=%d P=%d: %.4f·L² rounds exceeds the gate %.4f",
+							g.family, g.mode, n, seed, i+1, r, g.rounds)
+					}
+					if w > g.work {
+						t.Errorf("%s %s n=%d seed=%d P=%d: %.4f·n·L work exceeds the gate %.4f",
+							g.family, g.mode, n, seed, i+1, w, g.work)
+					}
+				}
+				if rounds[0] != rounds[1] {
+					t.Errorf("%s %s n=%d seed=%d: %d rounds at P=1 but %d at P=2",
+						g.family, g.mode, n, seed, rounds[0], rounds[1])
+				}
+			}
 		}
-		log2 := par.Iterations(2 * n)
-		budget := int64(40 * log2 * log2) // generous c·log² bound
-		if tr.Rounds() > budget {
-			t.Fatalf("n=%d: %d rounds exceeds polylog budget %d", n, tr.Rounds(), budget)
-		}
-		if prev > 0 && tr.Rounds() > prev*4 {
-			t.Fatalf("rounds grew superpolylog: %d -> %d for 10x n", prev, tr.Rounds())
-		}
-		prev = tr.Rounds()
 	}
 }

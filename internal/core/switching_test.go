@@ -269,6 +269,56 @@ func TestMaxCardinalityAgainstSequential(t *testing.T) {
 			}
 		}
 	}
+	// The T3 sizes, where Algorithm 3 has last-resort slack to reclaim.
+	opt := Options{}
+	for _, n := range []int{1000, 10000, 50000} {
+		if n > 10000 && testing.Short() {
+			break
+		}
+		ins, plain := solvableUniform(t, rng, n)
+		res, err := SolveRequest(ins, Request{Mode: ModeMaxCard}, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqM, seqOK, err := seq.MaxCardinality(ins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Exists || !seqOK {
+			t.Fatalf("n=%d: max-card exists=%v, sequential exists=%v on a solvable draw", n, res.Exists, seqOK)
+		}
+		if err := VerifyPopular(ins, res.Matching, opt); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		size := res.Matching.Size(ins)
+		if size != seqM.Size(ins) {
+			t.Fatalf("n=%d: parallel max-card %d != sequential %d", n, size, seqM.Size(ins))
+		}
+		if size < plain.Size(ins) {
+			t.Fatalf("n=%d: max-card %d smaller than arbitrary popular %d", n, size, plain.Size(ins))
+		}
+		t.Logf("n=%d: popular size %d, max-card size %d", n, plain.Size(ins), size)
+	}
+}
+
+// solvableUniform draws RandomStrict instances with 1.5 posts per applicant
+// and lists of 3..7 until one admits a popular matching, and returns it with
+// that matching. Above the existence threshold, a draw usually succeeds at
+// the first try at any scale.
+func solvableUniform(t *testing.T, rng *rand.Rand, n int) (*onesided.Instance, *onesided.Matching) {
+	t.Helper()
+	for tries := 0; tries < 20; tries++ {
+		ins := onesided.RandomStrict(rng, n, n+n/2, 3, 7)
+		res, err := SolveRequest(ins, Request{Mode: ModePopular}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Exists {
+			return ins, res.Matching
+		}
+	}
+	t.Fatalf("n=%d: no solvable draw in 20 tries", n)
+	return nil, nil
 }
 
 func TestMaxCardinalityNeverSmallerThanArbitrary(t *testing.T) {
@@ -377,6 +427,40 @@ func TestFairIsMaximumCardinality(t *testing.T) {
 		if fair.Matching.Size(ins) != mc.Matching.Size(ins) {
 			t.Fatalf("trial %d: fair size %d != max-card size %d (a fair popular matching is always maximum-cardinality)",
 				trial, fair.Matching.Size(ins), mc.Matching.Size(ins))
+		}
+	}
+
+	// T7's draw: the four §IV-E variants on one n = 4000 instance. Fair is
+	// maximum-cardinality; rank-maximal's profile is ≻R-best and fair's
+	// ≺F-best among them.
+	ins, _ := solvableUniform(t, rng, 4000)
+	profiles := map[Mode][]int{}
+	sizes := map[Mode]int{}
+	for _, mode := range []Mode{ModePopular, ModeMaxCard, ModeRankMaximal, ModeFair} {
+		res, err := SolveRequest(ins, Request{Mode: mode}, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Exists {
+			t.Fatalf("%s: solvable draw reported unsolvable", mode)
+		}
+		if err := VerifyPopular(ins, res.Matching, opt); err != nil {
+			t.Fatalf("%s output not popular: %v", mode, err)
+		}
+		profiles[mode] = onesided.Profile(ins, res.Matching)
+		sizes[mode] = res.Matching.Size(ins)
+		t.Logf("%s: size %d, profile head %v, last resorts %d",
+			mode, sizes[mode], profiles[mode][:3], profiles[mode][len(profiles[mode])-1])
+	}
+	if sizes[ModeFair] != sizes[ModeMaxCard] {
+		t.Fatalf("n=4000: fair size %d != max-card size %d", sizes[ModeFair], sizes[ModeMaxCard])
+	}
+	for mode, p := range profiles {
+		if onesided.CompareRankMaximal(p, profiles[ModeRankMaximal]) > 0 {
+			t.Fatalf("n=4000: %s profile %v is ≻R-better than rank-maximal %v", mode, p, profiles[ModeRankMaximal])
+		}
+		if onesided.CompareFair(p, profiles[ModeFair]) > 0 {
+			t.Fatalf("n=4000: %s profile %v is ≺F-better than fair %v", mode, p, profiles[ModeFair])
 		}
 	}
 }

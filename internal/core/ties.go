@@ -29,7 +29,7 @@ import (
 // optimum reaches |maximum matching of G1|.
 //
 // The implementation lives in tieskernel.go as an arena-resident kernel on
-// the unified Engine (ModeTies and ModeTiesMax).
+// the unified engine (ModeTies and ModeTiesMax).
 
 // MaxMatchingViaPopular is Theorem 11's reduction: it computes a
 // maximum-cardinality matching of an arbitrary bipartite graph by building

@@ -144,12 +144,11 @@ func TestSolveTiesAllRankOneAlwaysExists(t *testing.T) {
 func TestTheorem11Reduction(t *testing.T) {
 	rng := rand.New(rand.NewSource(115))
 	opt := Options{}
-	for trial := 0; trial < 80; trial++ {
-		nl, nr := 1+rng.Intn(25), 1+rng.Intn(25)
+	check := func(nl, nr int, density float64) {
 		g := bipartite.New(nl, nr)
 		for l := 0; l < nl; l++ {
 			for r := 0; r < nr; r++ {
-				if rng.Float64() < 0.25 {
+				if rng.Float64() < density {
 					g.AddEdge(int32(l), int32(r))
 				}
 			}
@@ -160,7 +159,7 @@ func TestTheorem11Reduction(t *testing.T) {
 		}
 		_, _, want := bipartite.HopcroftKarp(g)
 		if size != want {
-			t.Fatalf("trial %d: reduction found %d, Hopcroft-Karp %d", trial, size, want)
+			t.Fatalf("%dx%d at density %.3f: reduction found %d, Hopcroft-Karp %d", nl, nr, density, size, want)
 		}
 		// The returned assignment must be a real matching of g.
 		usedR := map[int32]bool{}
@@ -170,7 +169,7 @@ func TestTheorem11Reduction(t *testing.T) {
 				continue
 			}
 			if usedR[r] {
-				t.Fatalf("trial %d: post %d matched twice", trial, r)
+				t.Fatalf("%dx%d at density %.3f: post %d matched twice", nl, nr, density, r)
 			}
 			usedR[r] = true
 			found := false
@@ -181,8 +180,20 @@ func TestTheorem11Reduction(t *testing.T) {
 				}
 			}
 			if !found {
-				t.Fatalf("trial %d: (%d,%d) is not an edge", trial, l, r)
+				t.Fatalf("%dx%d at density %.3f: (%d,%d) is not an edge", nl, nr, density, l, r)
 			}
+		}
+	}
+	for trial := 0; trial < 80; trial++ {
+		check(1+rng.Intn(25), 1+rng.Intn(25), 0.25)
+	}
+	// The T5 sizes: sparse and denser square graphs (average degree 2 and 6).
+	for _, n := range []int{100, 200, 400} {
+		if n > 200 && testing.Short() {
+			break
+		}
+		for _, deg := range []float64{2, 6} {
+			check(n, n, deg/float64(n))
 		}
 	}
 }

@@ -119,7 +119,7 @@ func (tk *tiesKernel) sEdgeWeight(p int32) int64 {
 // when non-nil, is Reset and reused as the result matching. Capacities on
 // ins are ignored (the capacitated route expands first); the engine's
 // dispatch handles that routing.
-func (e *Engine) solveTies(cx *exec.Ctx, ins *onesided.Instance, maximizeCardinality bool, into *onesided.Matching) (Outcome, error) {
+func (e *engine) solveTies(cx *exec.Ctx, ins *onesided.Instance, maximizeCardinality bool, into *onesided.Matching) (Outcome, error) {
 	tk := &e.ties
 	c := ins.CSR()
 	n1 := ins.NumApplicants

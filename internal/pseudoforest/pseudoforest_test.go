@@ -101,8 +101,7 @@ func TestNewRejectsBadInput(t *testing.T) {
 func TestCycleMethodsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	p := par.NewPool(0)
-	for trial := 0; trial < 30; trial++ {
-		n := 1 + rng.Intn(80)
+	check := func(n int) {
 		g := randomFunctional(rng, n)
 		want := refOnCycle(g.Succ)
 		methods := map[string][]bool{
@@ -117,6 +116,13 @@ func TestCycleMethodsAgree(t *testing.T) {
 					n, name, got, want, g.Succ)
 			}
 		}
+	}
+	for trial := 0; trial < 30; trial++ {
+		check(1 + rng.Intn(80))
+	}
+	// The T4 sizes, where the closure method's n³ bit-matrix work shows.
+	for _, n := range []int{64, 128, 256, 512} {
+		check(n)
 	}
 }
 

@@ -317,7 +317,7 @@ func TestHTTPUnifiedModeSet(t *testing.T) {
 	if st := h.do("POST", "/v1/solve", "application/json", body, &e); st != http.StatusBadRequest {
 		t.Fatalf("unknown mode: status %d", st)
 	}
-	if !strings.Contains(e.Error, "unknown mode") || !strings.Contains(e.Error, "rankmaximal") {
+	if !strings.HasPrefix(e.Error, `unknown mode "optimal" (valid: `) || !strings.Contains(e.Error, "rankmaximal") {
 		t.Fatalf("unknown-mode error unhelpful: %q", e.Error)
 	}
 

@@ -29,9 +29,9 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 }
 
 // TestStatsSnapshotKeys pins the exact key set of the /v1/stats snapshot:
-// the flat counter map is a wire contract (popbench and operator scripts
-// read it by name), so a key renamed or dropped by a stats refactor must
-// fail here, byte for byte.
+// the flat counter map is a wire contract (the benchmark harness and
+// operator scripts read it by name), so a key renamed or dropped by a stats
+// refactor must fail here, byte for byte.
 func TestStatsSnapshotKeys(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()

@@ -288,12 +288,9 @@ func (s *Server) Verify(ctx context.Context, id string, postOf []int32) (popular
 	if len(postOf) != snap.Applicants {
 		return false, 0, fmt.Errorf("serve: post_of has %d entries for %d applicants", len(postOf), snap.Applicants)
 	}
-	// Structural validation (capacities, list membership) before the oracle.
-	as, err := onesided.AssignmentFromPostOf(snap.Ins, postOf)
-	if err != nil {
-		return false, 0, err
-	}
-	margin, err = s.solver.UnpopularityMargin(ctx, snap.Ins, &onesided.Matching{PostOf: as.PostOf})
+	// The oracle validates the assignment (capacities, list membership)
+	// before its sweep.
+	margin, err = s.solver.UnpopularityMargin(ctx, snap.Ins, &onesided.Matching{PostOf: postOf})
 	if err != nil {
 		return false, 0, err
 	}

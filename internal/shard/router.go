@@ -6,6 +6,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -350,17 +351,9 @@ func copyHeaders(dst, src http.Header) {
 	}
 }
 
-// proxyError is a terminal routing failure.
-type proxyError struct {
-	status int
-	msg    string
-}
-
-func (e *proxyError) Error() string { return e.msg }
-
 // errAllShardsSaturated is the load-shed outcome; the handler turns it into
 // a 429 with Retry-After.
-var errAllShardsSaturated = &proxyError{status: http.StatusTooManyRequests, msg: "shard: all replicas at max in-flight, retry later"}
+var errAllShardsSaturated = errors.New("shard: all replicas at max in-flight, retry later")
 
 // proxyTo relays the request to the first usable candidate, replaying the
 // buffered body on connection failure against the next one when retry is
@@ -394,11 +387,11 @@ func (rt *Router) proxyTo(w http.ResponseWriter, r *http.Request, cands []*shard
 			break
 		}
 	}
-	msg := "shard: no shard could serve the request"
+	err := errors.New("shard: no shard could serve the request")
 	if lastErr != nil {
-		msg = fmt.Sprintf("shard: upstream unreachable: %v", lastErr)
+		err = fmt.Errorf("shard: upstream unreachable: %v", lastErr)
 	}
-	rt.writeError(w, r, http.StatusBadGateway, &proxyError{status: http.StatusBadGateway, msg: msg})
+	rt.writeError(w, r, http.StatusBadGateway, err)
 }
 
 func retryAfterSeconds(d time.Duration) int {
@@ -741,9 +734,6 @@ func (rt *Router) fanWrite(w http.ResponseWriter, r *http.Request, key string, b
 		h := w.Header()
 		copyHeaders(h, relay.header)
 		h["X-Request-Id"] = []string{requestIDOf(r)}
-		if holder, ok := r.Context().Value(ctxKeyShard{}).(*shardHolder); ok {
-			holder.name = relayShard
-		}
 		w.WriteHeader(relay.status)
 		w.Write(relay.body)
 	case saturated == len(reps):
@@ -751,8 +741,7 @@ func (rt *Router) fanWrite(w http.ResponseWriter, r *http.Request, key string, b
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(rt.cfg.RetryAfter)))
 		rt.writeError(w, r, http.StatusTooManyRequests, errAllShardsSaturated)
 	default:
-		rt.writeError(w, r, http.StatusBadGateway,
-			&proxyError{status: http.StatusBadGateway, msg: fmt.Sprintf("shard: upstream unreachable: %v", lastErr)})
+		rt.writeError(w, r, http.StatusBadGateway, fmt.Errorf("shard: upstream unreachable: %v", lastErr))
 	}
 }
 
@@ -879,8 +868,7 @@ func (rt *Router) mergeLists(w http.ResponseWriter, r *http.Request, path string
 		}
 	}
 	if len(merged) == 0 && firstErr != nil && rt.healthyCount() == 0 {
-		rt.writeError(w, r, http.StatusBadGateway,
-			&proxyError{status: http.StatusBadGateway, msg: fmt.Sprintf("shard: upstream unreachable: %v", firstErr)})
+		rt.writeError(w, r, http.StatusBadGateway, fmt.Errorf("shard: upstream unreachable: %v", firstErr))
 		return
 	}
 	writeJSON(w, http.StatusOK, merged)

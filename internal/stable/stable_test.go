@@ -353,8 +353,8 @@ func TestWomanOptimalDetection(t *testing.T) {
 func TestLatticeWalkReachesWomanOptimal(t *testing.T) {
 	rng := rand.New(rand.NewSource(129))
 	opt := Options{}
-	for trial := 0; trial < 20; trial++ {
-		ins := Random(rng, 2+rng.Intn(25))
+	check := func(n int) {
+		ins := Random(rng, n)
 		m0 := GaleShapley(ins)
 		chain, err := LatticeWalk(ins, m0, opt)
 		if err != nil {
@@ -362,16 +362,25 @@ func TestLatticeWalkReachesWomanOptimal(t *testing.T) {
 		}
 		mz := WomanOptimal(ins)
 		if !chain[len(chain)-1].Equal(mz) {
-			t.Fatalf("trial %d: walk did not end at the woman-optimal matching", trial)
+			t.Fatalf("n=%d: walk did not end at the woman-optimal matching", n)
 		}
 		for i := 0; i < len(chain); i++ {
 			if err := Verify(ins, chain[i]); err != nil {
-				t.Fatalf("trial %d: chain element %d unstable: %v", trial, i, err)
+				t.Fatalf("n=%d: chain element %d unstable: %v", n, i, err)
 			}
 			if i > 0 && (!Dominates(ins, chain[i-1], chain[i], opt) || chain[i].Equal(chain[i-1])) {
-				t.Fatalf("trial %d: chain not strictly descending at %d", trial, i)
+				t.Fatalf("n=%d: chain not strictly descending at %d", n, i)
 			}
 		}
+		t.Logf("n=%d: chain of %d stable matchings", n, len(chain))
+	}
+	for trial := 0; trial < 20; trial++ {
+		check(2 + rng.Intn(25))
+	}
+	// The T6 sizes; each step is one Algorithm 4 invocation.
+	check(100)
+	if !testing.Short() {
+		check(400)
 	}
 }
 

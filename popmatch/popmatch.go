@@ -223,29 +223,6 @@ func SolveRequest(ins *Instance, req Request, o Options) (Result, error) {
 // resort, id NumPosts+a).
 type WeightFn = core.WeightFn
 
-// UnpopularityMargin returns the best vote margin any challenger matching
-// achieves against m (≤ 0 iff m is popular). It runs the independent
-// Hungarian-algorithm oracle, O(n³); intended for verification, not hot
-// paths. On a capacitated instance the challengers range over capacitated
-// assignments (m.PostOf is read as a per-applicant post vector and must
-// respect capacities); like the rest of the onesided oracles it panics on a
-// matching inconsistent with ins. Solver.UnpopularityMargin is the
-// cancellable form that returns errors instead.
-func UnpopularityMargin(ins *Instance, m *Matching) int {
-	if !ins.UnitCapacity() {
-		as, err := onesided.AssignmentFromPostOf(ins, m.PostOf)
-		if err != nil {
-			panic(err)
-		}
-		margin, err := onesided.UnpopularityMarginAssignment(ins, as)
-		if err != nil {
-			panic(err)
-		}
-		return margin
-	}
-	return onesided.UnpopularityMargin(ins, m)
-}
-
 // Count returns the exact number of popular matchings (0 if none), without
 // enumeration, using Theorem 9's product structure over the switching-graph
 // components.

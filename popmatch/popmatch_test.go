@@ -22,11 +22,12 @@ func TestQuickstartFlow(t *testing.T) {
 	if tr.Rounds == 0 || tr.Work == 0 {
 		t.Fatal("tracing recorded nothing")
 	}
-	if err := newTestSolver(t, Options{}).Verify(context.Background(), ins, res.Matching); err != nil {
+	s := newTestSolver(t, Options{})
+	if err := s.Verify(context.Background(), ins, res.Matching); err != nil {
 		t.Fatal(err)
 	}
-	if m := UnpopularityMargin(ins, res.Matching); m > 0 {
-		t.Fatalf("margin = %d", m)
+	if m, err := s.UnpopularityMargin(context.Background(), ins, res.Matching); err != nil || m > 0 {
+		t.Fatalf("margin = %d, %v", m, err)
 	}
 }
 
@@ -130,8 +131,9 @@ func TestSolveTiesPublic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Exists {
-		if m := UnpopularityMargin(ins, res.Matching); m > 0 {
-			t.Fatalf("ties result unpopular, margin %d", m)
+		m, err := newTestSolver(t, Options{}).UnpopularityMargin(context.Background(), ins, res.Matching)
+		if err != nil || m > 0 {
+			t.Fatalf("ties result unpopular, margin %d, %v", m, err)
 		}
 	}
 }

@@ -232,13 +232,21 @@ func (s *Solver) VerifyAssignment(ctx context.Context, ins *Instance, as *Assign
 	return nil
 }
 
-// UnpopularityMargin runs the independent Hungarian margin oracle (O(n³);
-// see the package-level function) under the Solver's execution context, so
-// the sweep is cancellable via ctx — the oracle usually dominates a
-// verified run's cost. On a capacitated instance, m.PostOf is read as a
-// per-applicant post vector and the challengers range over capacitated
-// assignments.
+// UnpopularityMargin returns the best vote margin any challenger matching
+// achieves against m (≤ 0 iff m is popular). It runs the independent
+// Hungarian-algorithm oracle, O(n³): a verification surface, not a hot
+// path. The sweep runs under the Solver's execution context, so it is
+// cancellable via ctx — the oracle usually dominates a verified run's cost.
+// m.PostOf is read as a per-applicant post vector (-1 = unmatched) and must
+// be a matching of ins: one entry per applicant, each post on its
+// applicant's list (or its own last resort) and within capacity. Anything
+// else is an error. On a capacitated instance the challengers range over
+// capacitated assignments.
 func (s *Solver) UnpopularityMargin(ctx context.Context, ins *Instance, m *Matching) (margin int, err error) {
+	as, err := onesided.AssignmentFromPostOf(ins, m.PostOf)
+	if err != nil {
+		return 0, err
+	}
 	opt, sess, err := s.session(ctx)
 	if err != nil {
 		return 0, err
@@ -246,10 +254,6 @@ func (s *Solver) UnpopularityMargin(ctx context.Context, ins *Instance, m *Match
 	defer s.putSession(sess)
 	defer exec.CatchCancel(&err)
 	if !ins.UnitCapacity() {
-		as, err := onesided.AssignmentFromPostOf(ins, m.PostOf)
-		if err != nil {
-			return 0, err
-		}
 		return onesided.UnpopularityMarginAssignmentCtx(opt.Exec, ins, as)
 	}
 	return onesided.UnpopularityMarginCtx(opt.Exec, ins, m), nil

@@ -205,6 +205,42 @@ func TestSolverUnpopularityMarginCancellable(t *testing.T) {
 	}
 }
 
+// TestUnpopularityMarginRejectsNonMatchings pins that the margin oracle
+// checks the caller's vector: a post off the applicant's list, a short
+// vector, two applicants on one unit post and an over-capacity post are
+// errors, not panics or a verdict on something that is not a matching.
+func TestUnpopularityMarginRejectsNonMatchings(t *testing.T) {
+	mustIns := func(ins *Instance, err error) *Instance {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ins
+	}
+	shortList := mustIns(NewStrict(2, [][]int32{{0}, {0, 1}}))
+	square := mustIns(NewStrict(2, [][]int32{{0, 1}, {0, 1}}))
+	capac := mustIns(NewCapacitated([]int32{2, 1}, [][]int32{{0, 1}, {0, 1}, {0, 1}}))
+	s := newTestSolver(t, Options{Workers: 1})
+	for _, c := range []struct {
+		name   string
+		ins    *Instance
+		postOf []int32
+	}{
+		{"post off the list", shortList, []int32{1, 0}},
+		{"short vector", square, []int32{0}},
+		{"two applicants on one post", square, []int32{0, 0}},
+		{"over capacity", capac, []int32{0, 0, 0}},
+	} {
+		if margin, err := s.UnpopularityMargin(context.Background(), c.ins, &Matching{PostOf: c.postOf}); err == nil {
+			t.Errorf("%s: margin %d with a nil error", c.name, margin)
+		}
+	}
+	// A valid matching of the same instance still gets its verdict.
+	if margin, err := s.UnpopularityMargin(context.Background(), square, &Matching{PostOf: []int32{0, 1}}); err != nil || margin > 0 {
+		t.Fatalf("valid popular matching: margin %d, %v", margin, err)
+	}
+}
+
 // BenchmarkStrictWorkers times a reused solver's popular solve of one
 // n = 2·10⁵ instance at 1 and 4 workers and fails if a worker count returns
 // a different matching from a sequential solve. CI requires 4 workers to be
