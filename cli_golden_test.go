@@ -100,6 +100,16 @@ func TestCLIGoldenPopmatchCheck(t *testing.T) {
 		t.Fatalf("-check of over-capacity assignment exited %d, want 3\n%s", code, out)
 	}
 	checkGolden(t, "popmatch_check_overfull.out", out)
+
+	// A post off the applicant's list fails structurally too, and the
+	// diagnostic names no internal package.
+	out, code = run("-workers", "1", "-check", "testdata/unit_off_list.assign", "testdata/unit_small.txt")
+	if code != 3 {
+		t.Fatalf("-check of off-list assignment exited %d, want 3\n%s", code, out)
+	}
+	if want := "popmatch: verification failed: applicant 0 assigned post 2 not on their list\n"; out != want {
+		t.Fatalf("-check of off-list assignment printed %q, want %q", out, want)
+	}
 }
 
 func TestCLIGoldenGeninstance(t *testing.T) {

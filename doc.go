@@ -128,7 +128,9 @@
 // per-chunk channel handoff, no full-barrier recruitment), spin briefly
 // before parking, and the shared grain policy (par.Grain / par.RowGrain
 // with the par.MinGrain floor) sizes chunks to amortize the claim and
-// align bit-matrix work to whole cache lines of words. Worker count never
+// align bit-matrix work to whole cache lines of words. par.Grain keeps an
+// element-wise loop shorter than its measured break-even (2¹⁷ elements)
+// as one chunk on the caller, where helpers did not pay. Worker count never
 // changes results: the corpus-wide differential test pins every engine
 // mode bit-identical at workers 1/2/8 under -race, and
 // BenchmarkStrictWorkers (popmatch) times one worker against four with the

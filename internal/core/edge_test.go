@@ -142,13 +142,16 @@ func TestSolverDeterministicAcrossWorkers(t *testing.T) {
 			}
 		}
 	}
-	// Larger instances: big enough that every loop takes the parallel path
-	// at 8 workers (the corpus instances are tiny). Six random strict ones,
-	// a tied one for the §V kernel, plus the ring and the chain (see switchRing): one long switching
-	// cycle, and one switching path that takes the cut lifting ladder to
-	// full depth. The rank-maximal weights of the ring and the chain carry
-	// n·log₂(n) bits each, too many at this size, so they run the int64
-	// modes only.
+	// Larger instances (the corpus instances are tiny). Six random strict
+	// ones, a tied one for the §V kernel, plus the ring and the chain (see
+	// switchRing): one long switching cycle, and one switching path that
+	// takes the cut lifting ladder to full depth. The rank-maximal weights
+	// of the ring and the chain carry n·log₂(n) bits each, too many at this
+	// size, so they run the int64 modes only. Their loops are shorter than
+	// par.Grain's break-even, so they run as one chunk at every worker
+	// count. The last instance, with 2¹⁷ applicants and a popular matching,
+	// is long enough that its applicant-, post- and dart-indexed loops are
+	// split across workers.
 	if !testing.Short() {
 		type large struct {
 			name  string
@@ -169,6 +172,12 @@ func TestSolverDeterministicAcrossWorkers(t *testing.T) {
 		cases = append(cases,
 			large{"ring", switchRing(t, 5000, false), []Mode{ModePopular, ModeMaxCard}},
 			large{"chain", switchRing(t, 5000, true), []Mode{ModePopular, ModeMaxCard}})
+		const split = 1 << 17
+		if g := par.Grain(split, 8); g >= split {
+			t.Fatalf("par.Grain(%d, 8) = %d: the instance below would run every loop as one chunk", split, g)
+		}
+		cases = append(cases, large{"split", onesided.RandomStrict(rng, split, split, 1, 4),
+			[]Mode{ModePopular, ModeMaxCard}})
 		for _, c := range cases {
 			for _, mode := range c.modes {
 				var refExists bool

@@ -655,7 +655,7 @@ func (k *kernel) exclusiveScan32(n int) int32 {
 		k.scanBlock[b] = running
 		running += s
 	}
-	k.cx.Round(nblocks)
+	k.cx.Round(par.CombineWork(n))
 	k.cx.Range(n, grain, k.fnScanScatter)
 	k.cx.Round(n)
 	return running

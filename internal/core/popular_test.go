@@ -359,21 +359,21 @@ func TestPopularAllSameList(t *testing.T) {
 const (
 	// RandomStrict(n, n, 1, 6).
 	randomPopularRounds = 1.1 * 96 / 121  // max 96 rounds at L = 11 (n = 10³, seed 1)
-	randomPopularWork   = 1.1 * 35.3883   // max 35.3883·n·L (n = 10⁵, seed 2, P = 2)
+	randomPopularWork   = 1.1 * 35.3883   // max 35.3883·n·L (n = 10⁵, seed 2)
 	randomMaxCardRounds = 1.1 * 130 / 121 // max 130 rounds at L = 11 (n = 10³, seed 1)
-	randomMaxCardWork   = 1.1 * 38.8943   // max 38.8943·n·L (n = 10⁵, seed 2, P = 2)
+	randomMaxCardWork   = 1.1 * 38.8943   // max 38.8943·n·L (n = 10⁵, seed 2)
 	// Solvable(n, n/4, 5).
 	solvablePopularRounds = 1.1 * 29 / 121 // max 29 rounds at L = 11 (n = 10³, every seed)
-	solvablePopularWork   = 1.1 * 5.4345   // max 5.4345·n·L (n = 10³, seed 2)
+	solvablePopularWork   = 1.1 * 5.4341   // max 5.4341·n·L (n = 10³, seed 2)
 	solvableMaxCardRounds = 1.1 * 47 / 121 // max 47 rounds at L = 11 (n = 10³, every seed)
-	solvableMaxCardWork   = 1.1 * 7.5231   // max 7.5231·n·L (n = 10³, seed 2)
+	solvableMaxCardWork   = 1.1 * 7.5225   // max 7.5225·n·L (n = 10³, seed 2)
 )
 
 // TestTracerRoundsPolylog gates every (family, mode) pair on its constants
-// at P = 1 and P = 2. Round counts must not depend on the worker count;
-// work may (a chunked scan charges its chunk count), so each P's work is
-// bounded on its own. `go test -run TracerRoundsPolylog -v` prints every
-// ratio. n = 10⁵ is skipped under -short.
+// at P = 1 and P = 2. Neither rounds nor work may depend on the worker
+// count (a chunked scan charges par.CombineWork, not the pool's own block
+// count). `go test -run TracerRoundsPolylog -v` prints every ratio.
+// n = 10⁵ is skipped under -short.
 func TestTracerRoundsPolylog(t *testing.T) {
 	random := func(rng *rand.Rand, n int) *onesided.Instance { return onesided.RandomStrict(rng, n, n, 1, 6) }
 	solvable := func(rng *rand.Rand, n int) *onesided.Instance { return onesided.Solvable(rng, n, n/4, 5) }
@@ -400,13 +400,13 @@ func TestTracerRoundsPolylog(t *testing.T) {
 			lg := float64(par.Iterations(2 * n))
 			for seed := int64(1); seed <= 3; seed++ {
 				ins := g.gen(rand.New(rand.NewSource(seed)), n)
-				var rounds [2]int64
+				var rounds, work [2]int64
 				for i, pool := range pools {
 					var tr par.Tracer
 					if _, err := SolveRequest(ins, Request{Mode: g.mode}, Options{Pool: pool, Tracer: &tr}); err != nil {
 						t.Fatal(err)
 					}
-					rounds[i] = tr.Rounds()
+					rounds[i], work[i] = tr.Rounds(), tr.Work()
 					r := float64(tr.Rounds()) / (lg * lg)
 					w := float64(tr.Work()) / (float64(n) * lg)
 					t.Logf("%s %s n=%d seed=%d P=%d: %d rounds = %.4f·L², work %d = %.4f·n·L",
@@ -420,9 +420,9 @@ func TestTracerRoundsPolylog(t *testing.T) {
 							g.family, g.mode, n, seed, i+1, w, g.work)
 					}
 				}
-				if rounds[0] != rounds[1] {
-					t.Errorf("%s %s n=%d seed=%d: %d rounds at P=1 but %d at P=2",
-						g.family, g.mode, n, seed, rounds[0], rounds[1])
+				if rounds[0] != rounds[1] || work[0] != work[1] {
+					t.Errorf("%s %s n=%d seed=%d: %d rounds and %d work at P=1 but %d and %d at P=2",
+						g.family, g.mode, n, seed, rounds[0], work[0], rounds[1], work[1])
 				}
 			}
 		}

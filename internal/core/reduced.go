@@ -106,7 +106,7 @@ func (r *Reduced) postsInG(cx *exec.Ctx) (posts, vertexOf []int32) {
 		block[b] = nv
 		nv += c
 	}
-	cx.Round(len(block))
+	cx.Round(par.CombineWork(total))
 	posts = cx.Int32s(int(nv))
 	vertexOf = cx.Int32s(total)
 	cx.Range(total, grain, func(lo, hi int) {

@@ -167,9 +167,9 @@ func (e *engine) solveTies(cx *exec.Ctx, ins *onesided.Instance, maximizeCardina
 	// E′ = f-edges ∪ s-edges, as a flat weight table for the lexicographic
 	// assignment: rank-one edges weigh W+1 (they advance |M ∩ E1|), other
 	// E′ edges weigh 1 when they avoid a last resort and maximizing
-	// cardinality is requested. Rows are independent; fill them in
-	// parallel with a grain that keeps at least ~MinGrain table cells per
-	// chunk.
+	// cardinality is requested. Rows are independent; fill them with the
+	// rows of par.Grain's chunk of the n1·total cells: one chunk (on the
+	// caller) below its break-even, else at least ~MinGrain cells each.
 	tk.w = exec.Grow(&tk.w, n1*total)
 	rowGrain := par.Grain(n1*total, cx.Workers()) / total
 	if rowGrain < 1 {

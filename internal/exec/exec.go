@@ -125,10 +125,11 @@ func CatchCancel(err *error) {
 
 // For runs fn(i) for every i in [0, n) as one parallel round, checking
 // cancellation first. Part of par.Runner. With a tracer attached the round
-// also measures its completion-barrier wait into the tracer.
+// also measures its completion-barrier wait into the tracer. Chunks are
+// sized by par.Grain.
 func (c *Ctx) For(n int, fn func(i int)) {
 	c.Check()
-	c.pool.ForGrainTr(n, par.DefaultGrain, fn, c.tr)
+	c.pool.ForGrainTr(n, par.Grain(n, c.pool.Workers()), fn, c.tr)
 }
 
 // ForGrain is For with an explicit grain. Part of par.Runner.

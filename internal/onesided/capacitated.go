@@ -197,7 +197,7 @@ func (as *Assignment) ApplicantComplete() bool {
 // last resorts), inverse lists matching PostOf, and no post over capacity.
 func (as *Assignment) Validate(ins *Instance) error {
 	if len(as.PostOf) != ins.NumApplicants || len(as.assigned) != ins.NumPosts {
-		return fmt.Errorf("onesided: assignment sized %d/%d for instance %d/%d",
+		return fmt.Errorf("assignment sized %d/%d for instance %d/%d",
 			len(as.PostOf), len(as.assigned), ins.NumApplicants, ins.NumPosts)
 	}
 	load := make([]int32, ins.NumPosts)
@@ -207,29 +207,29 @@ func (as *Assignment) Validate(ins *Instance) error {
 		}
 		if ins.IsLastResort(p) {
 			if p != ins.LastResort(a) {
-				return fmt.Errorf("onesided: applicant %d assigned foreign last resort %d", a, p)
+				return fmt.Errorf("applicant %d assigned foreign last resort %d", a, p)
 			}
 			continue
 		}
 		if _, ok := ins.RankOf(a, p); !ok {
-			return fmt.Errorf("onesided: applicant %d assigned post %d not on their list", a, p)
+			return fmt.Errorf("applicant %d assigned post %d not on their list", a, p)
 		}
 		load[p]++
 	}
 	for p := int32(0); int(p) < ins.NumPosts; p++ {
 		if load[p] > ins.Capacity(p) {
-			return fmt.Errorf("onesided: post %d holds %d applicants, capacity %d", p, load[p], ins.Capacity(p))
+			return fmt.Errorf("post %d holds %d applicants, capacity %d", p, load[p], ins.Capacity(p))
 		}
 		want := as.assigned[p]
 		if int32(len(want)) != load[p] {
-			return fmt.Errorf("onesided: post %d inverse list has %d entries, want %d", p, len(want), load[p])
+			return fmt.Errorf("post %d inverse list has %d entries, want %d", p, len(want), load[p])
 		}
 		for i, a := range want {
 			if a < 0 || int(a) >= ins.NumApplicants || as.PostOf[a] != p {
-				return fmt.Errorf("onesided: post %d inverse list entry %d is inconsistent", p, i)
+				return fmt.Errorf("post %d inverse list entry %d is inconsistent", p, i)
 			}
 			if i > 0 && want[i-1] >= a {
-				return fmt.Errorf("onesided: post %d inverse list not strictly increasing", p)
+				return fmt.Errorf("post %d inverse list not strictly increasing", p)
 			}
 		}
 	}

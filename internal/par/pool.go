@@ -28,31 +28,57 @@ import (
 	"time"
 )
 
-// DefaultGrain is the minimum number of loop iterations assigned to a worker
-// before the pool bothers to parallelize a loop. Loops smaller than the grain
-// run on the calling goroutine.
-const DefaultGrain = 256
-
 // MinGrain is the smallest chunk any kernel loop should hand to a worker.
 // Below this, the atomic chunk claim and the cache traffic of touching a
 // fresh range dominate the loop body; all per-kernel grain heuristics clamp
 // to it rather than duplicating a magic constant.
 const MinGrain = 1024
 
-// Grain returns the chunk size for an n-iteration loop on `workers` workers:
-// roughly four chunks per worker to smooth load imbalance, clamped below by
-// MinGrain. This is the shared grain policy for every element-wise kernel
-// loop; it never returns 0 (the bug class where n/(4*workers) truncates for
-// small n or high worker counts).
+// breakEven is the shortest element-wise loop that Grain splits across
+// workers; a shorter loop is one chunk, which the pool runs on the caller.
+// BenchmarkRoundBreakEven (eight rounds of a pointer-doubling gather, the
+// kernels' typical round) measured µs per round, ranges over 4 separate
+// processes, 2 vCPUs, Go 1.24:
+//
+//	n      1 worker       2 workers
+//	2^11   6–7            10–14
+//	2^13   24–35          37–48
+//	2^15   114–158        163–195
+//	2^16   235–356        379–432
+//	2^17   810–1,032      960–1,060
+//	2^18   1,864–3,668    2,121–2,579
+//	2^19   6,128–9,334    5,589–6,258
+//
+// Two workers lost below 2^17 (at 2^14 the medians tied), were not yet
+// ahead at 2^18, and won in every process at 2^19. The bound must also stay
+// at or below the 2·10⁵-applicant loops of BenchmarkStrictWorkers
+// (popmatch), the scaling canary whose loops have to stay parallel. 2^17 is
+// the largest power of two that meets both.
+const breakEven = 1 << 17
+
+// Grain returns the chunk size for an n-iteration loop on `workers` workers.
+// A loop shorter than breakEven is one chunk: on the machines measured,
+// helpers cost more in dispatch, barrier and cache traffic than they save
+// there. A longer loop gets roughly four chunks per worker to smooth load
+// imbalance, clamped below by MinGrain. This is the shared grain policy for
+// every element-wise loop; it never returns less than MinGrain.
 func Grain(n, workers int) int {
+	if n < breakEven {
+		return max(n, MinGrain)
+	}
 	if workers < 1 {
 		workers = 1
 	}
-	g := n / (4 * workers)
-	if g < MinGrain {
-		g = MinGrain
-	}
-	return g
+	return max(n/(4*workers), MinGrain)
+}
+
+// CombineWork is the PRAM work of the sequential step between the two
+// rounds of a chunked scan or reduction over n elements: the block count
+// at one worker. Charging it instead of the pool's own block count keeps a
+// trace's work independent of the worker count, as its rounds are.
+func CombineWork(n int) int {
+	g := Grain(n, 1)
+	return (n + g - 1) / g
 }
 
 // RowGrain returns the chunk size for a loop over `rows` rows of `words`
@@ -278,9 +304,10 @@ func (p *Pool) AddWork(work int) { p.tr.Load().AddWork(work) }
 // For runs fn(i) for every i in [0, n) in parallel. It corresponds to one
 // PRAM step ("for each x in parallel do"). fn must be safe to call
 // concurrently for distinct i; the pool guarantees each index is processed
-// exactly once. For blocks until all iterations complete.
+// exactly once. For blocks until all iterations complete. Chunks are sized
+// by Grain, so a loop shorter than its break-even runs on the caller.
 func (p *Pool) For(n int, fn func(i int)) {
-	p.ForGrain(n, DefaultGrain, fn)
+	p.ForGrain(n, Grain(n, p.workers), fn)
 }
 
 // ForGrain is For with an explicit grain: chunks of at least `grain`

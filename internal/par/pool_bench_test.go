@@ -2,6 +2,7 @@ package par
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -69,4 +70,49 @@ func BenchmarkForGrainVsGoroutines(b *testing.B) {
 			wg.Wait()
 		}
 	})
+}
+
+// BenchmarkRoundBreakEven measures where splitting a round across workers
+// starts to pay, the measurement behind breakEven. Each op is eight rounds
+// of a double-buffered pointer-doubling gather (val'[v] = val[v] +
+// val[ptr[v]], ptr'[v] = ptr[ptr[v]]) over a random permutation, the
+// kernels' typical round: one streaming pass plus one random read per
+// element. The chunking is the one Grain uses at or above breakEven, forced
+// at every n, and µs/round is the reported figure. Compare workers=1 with
+// workers=2 across separate processes (-count 1, repeated): one process's
+// scheduling can favor either side.
+func BenchmarkRoundBreakEven(b *testing.B) {
+	const rounds = 8
+	for lg := 11; lg <= 19; lg++ {
+		n := 1 << lg
+		perm := rand.New(rand.NewSource(int64(lg))).Perm(n)
+		ptr, nxtPtr := make([]int32, n), make([]int32, n)
+		val, nxtVal := make([]int32, n), make([]int32, n)
+		for v, u := range perm {
+			ptr[v], val[v] = int32(u), int32(v)
+		}
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("n=2^%d/workers=%d", lg, workers), func(b *testing.B) {
+				p := NewPool(workers)
+				defer p.Close()
+				grain := max(n/(4*workers), MinGrain)
+				body := func(lo, hi int) {
+					for v := lo; v < hi; v++ {
+						u := ptr[v]
+						nxtVal[v] = val[v] + val[u]
+						nxtPtr[v] = ptr[u]
+					}
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for r := 0; r < rounds; r++ {
+						p.Range(n, grain, body)
+						ptr, nxtPtr = nxtPtr, ptr
+						val, nxtVal = nxtVal, val
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*rounds), "µs/round")
+			})
+		}
+	}
 }

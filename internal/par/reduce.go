@@ -34,7 +34,7 @@ func Reduce[T any](x Runner, n int, id T, f func(i int) T, combine func(a, b T) 
 	for _, v := range partial {
 		acc = combine(acc, v)
 	}
-	x.Round(nblocks)
+	x.Round(CombineWork(n))
 	return acc
 }
 

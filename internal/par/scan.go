@@ -4,7 +4,8 @@ package par
 //
 // The implementation is the two-phase block scan: each worker reduces a block
 // (parallel round 1), the per-block sums are scanned by a single worker (the
-// block count is O(P), constant in n for a fixed machine), and each worker
+// block count is O(P), constant in n for a fixed machine; the trace charges
+// it as CombineWork, the count at one worker), and each worker
 // then rescans its block seeded with the block offset (parallel round 2).
 // This is work-optimal O(n) with O(1) bulk-synchronous rounds; the classical
 // Blelloch tree scan achieves the same result in O(log n) PRAM rounds, and
@@ -37,7 +38,7 @@ func ExclusiveScan(x Runner, xs []int) (out []int, total int) {
 		blockSum[b] = running
 		running += s
 	}
-	x.Round(nblocks)
+	x.Round(CombineWork(n))
 
 	x.Range(n, grain, func(lo, hi int) {
 		s := blockSum[lo/grain]

@@ -95,7 +95,9 @@ func TestSchedStats(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
 
-	p.For(100_000, func(int) {}) // spin workers up
+	// An explicit grain: at this n, For's Grain runs the loop on the caller
+	// and would start no workers.
+	p.ForGrain(100_000, MinGrain, func(int) {}) // spin workers up
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		s := p.SchedStats()

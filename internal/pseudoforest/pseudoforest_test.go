@@ -48,13 +48,14 @@ func refOnCycle(succ []int32) []bool {
 }
 
 // randomFunctional generates a functional graph with a mix of sinks, trees
-// and cycles.
+// and cycles. With one vertex there is no other vertex to point at, so it
+// is a sink.
 func randomFunctional(rng *rand.Rand, n int) *Graph {
 	succ := make([]int32, n)
 	for v := 0; v < n; v++ {
 		r := rng.Float64()
 		switch {
-		case r < 0.15:
+		case r < 0.15 || n == 1:
 			succ[v] = -1 // sink
 		default:
 			u := rng.Intn(n)
@@ -124,6 +125,7 @@ func TestCycleMethodsAgree(t *testing.T) {
 	for _, n := range []int{64, 128, 256, 512} {
 		check(n)
 	}
+	check(1) // a lone vertex: a sink, no cycle
 }
 
 func TestCycleMethodsTwoCycle(t *testing.T) {

@@ -203,6 +203,19 @@ func TestHTTPErrorMapping(t *testing.T) {
 	if st := h.do("POST", "/v1/verify", "application/json", vbody, &e); st != http.StatusUnprocessableEntity {
 		t.Fatalf("short verify: %d, want 422", st)
 	}
+	// A post off the applicant's list → 422, in the caller's terms (no
+	// internal package name).
+	small, err := onesided.NewStrict(3, [][]int32{{0, 1}, {1, 0}, {2, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vbody, _ = json.Marshal(verifyRequest{Instance: h.upload(small).ID, PostOf: []int32{2, 1, 2}})
+	if st := h.do("POST", "/v1/verify", "application/json", vbody, &e); st != http.StatusUnprocessableEntity {
+		t.Fatalf("off-list verify: %d, want 422", st)
+	}
+	if want := "applicant 0 assigned post 2 not on their list"; e.Error != want {
+		t.Fatalf("off-list verify error = %q, want %q", e.Error, want)
+	}
 }
 
 // TestHTTPConcurrentLoadBatches drives the HTTP surface with concurrent

@@ -3,6 +3,7 @@ package popmatch
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -241,35 +242,52 @@ func TestUnpopularityMarginRejectsNonMatchings(t *testing.T) {
 	}
 }
 
-// BenchmarkStrictWorkers times a reused solver's popular solve of one
-// n = 2·10⁵ instance at 1 and 4 workers and fails if a worker count returns
-// a different matching from a sequential solve. CI requires 4 workers to be
-// at least 1.25x faster on runners with 4 or more CPUs.
+// BenchmarkStrictWorkers times a reused solver's popular solve at two
+// sizes and two worker counts each, and fails if a worker count returns a
+// different matching from a sequential solve. CI gates both pairs:
+//   - n = 2·10⁵ at 1 and 4 workers: 4 workers must be at least 1.25x
+//     faster, on runners with 4 or more CPUs;
+//   - n = 2,000, the serving benchmark's size, at 1 worker and the default
+//     pool: the default pool must be no more than 10% slower, on every
+//     runner.
 func BenchmarkStrictWorkers(b *testing.B) {
-	ins := Solvable(rand.New(rand.NewSource(7)), 200_000, 50_000, 5)
-	req := Request{Mode: ModePopular}
-	want, err := SolveRequest(ins, req, Options{Workers: 1})
-	if err != nil || !want.Exists {
-		b.Fatalf("reference solve: exists=%v err=%v", want.Exists, err)
+	cases := []struct {
+		n, posts, maxLen int
+		workers          []int // 0 is the default pool
+	}{
+		{200_000, 50_000, 5, []int{1, 4}},
+		{2000, 501, 4, []int{1, 0}},
 	}
-	for _, w := range []int{1, 4} {
-		b.Run(strconv.Itoa(w), func(b *testing.B) {
-			s := NewSolver(Options{Workers: w})
-			defer s.Close()
-			ctx := context.Background()
-			var res Result
-			if err := s.SolveRequestInto(ctx, ins, req, &res); err != nil { // warm the session
-				b.Fatal(err)
+	req := Request{Mode: ModePopular}
+	for _, c := range cases {
+		ins := Solvable(rand.New(rand.NewSource(7)), c.n, c.posts, c.maxLen)
+		want, err := SolveRequest(ins, req, Options{Workers: 1})
+		if err != nil || !want.Exists {
+			b.Fatalf("n=%d reference solve: exists=%v err=%v", c.n, want.Exists, err)
+		}
+		for _, w := range c.workers {
+			name := strconv.Itoa(w)
+			if w == 0 {
+				name = "default"
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := s.SolveRequestInto(ctx, ins, req, &res); err != nil {
+			b.Run(fmt.Sprintf("n=%d/%s", c.n, name), func(b *testing.B) {
+				s := NewSolver(Options{Workers: w})
+				defer s.Close()
+				ctx := context.Background()
+				var res Result
+				if err := s.SolveRequestInto(ctx, ins, req, &res); err != nil { // warm the session
 					b.Fatal(err)
 				}
-			}
-			if !slices.Equal(res.Matching.PostOf, want.Matching.PostOf) {
-				b.Fatalf("workers=%d matching differs from workers=1", w)
-			}
-		})
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := s.SolveRequestInto(ctx, ins, req, &res); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if !slices.Equal(res.Matching.PostOf, want.Matching.PostOf) {
+					b.Fatalf("n=%d workers=%s: matching differs from workers=1", c.n, name)
+				}
+			})
+		}
 	}
 }
