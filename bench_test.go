@@ -166,7 +166,7 @@ func BenchmarkTiesReduction(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("hopcroftKarp/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				bipartite.HopcroftKarp(g)
+				new(bipartite.Scratch).HopcroftKarpScratch(nil, g)
 			}
 		})
 	}

@@ -171,4 +171,27 @@ func TestCLIRejectsBadFlags(t *testing.T) {
 	if out, err := runTool(t, "", "./cmd/geninstance", "-kind", "nonsense"); err == nil {
 		t.Fatalf("bad kind accepted:\n%s", out)
 	}
+	// So does an invalid instance: the row rule's text, no package name.
+	out, err = runTool(t, "posts 1\na0: p5\n", "./cmd/popmatch")
+	if err == nil || !strings.HasPrefix(out, "popmatch: applicant 0 lists out-of-range post 5\n") {
+		t.Fatalf("out-of-range post: err %v, output %q", err, out)
+	}
+	// Out-of-range sizes exit non-zero with a message, never a panic.
+	for _, args := range [][]string{
+		{"./cmd/stablenext", "-n", "-3"},
+		{"./cmd/geninstance", "-applicants", "5", "-posts", "0"},
+		{"./cmd/geninstance", "-kind", "capacitated", "-applicants", "3", "-posts", "0"},
+		{"./cmd/geninstance", "-applicants", "-5"},
+		{"./cmd/geninstance", "-kind", "ties", "-maxlen", "0"},
+		{"./cmd/geninstance", "-kind", "solvable", "-maxlen", "0"},
+		{"./cmd/geninstance", "-kind", "unsolvable", "-depth", "-2"},
+		{"./cmd/geninstance", "-kind", "unsolvable", "-depth", "4000000000000000000"},
+		{"./cmd/geninstance", "-kind", "broom", "-depth", "63"},
+		{"./cmd/geninstance", "-applicants", "5", "-posts", "3000000000"},
+	} {
+		out, err := runTool(t, "", args...)
+		if err == nil || strings.Contains(out, "panic:") {
+			t.Errorf("%s: err %v, output %q", strings.Join(args, " "), err, out)
+		}
+	}
 }

@@ -21,6 +21,7 @@ import (
 	"bufio"
 	"flag"
 	"log"
+	"math"
 	"math/rand"
 	"os"
 
@@ -44,6 +45,21 @@ func main() {
 	flag.Parse()
 	if *format != "text" && *format != "binary" {
 		log.Fatalf("unknown format %q (want text or binary)", *format)
+	}
+	if *applicants < 0 || *posts < 0 || *depth < 0 || *maxLen < 1 {
+		log.Fatal("-applicants, -posts and -depth must be >= 0 and -maxlen >= 1")
+	}
+	// Applicant and post ids are int32: a broom of depth d has 2^(d+1)-1
+	// posts, the unsolvable family 3·depth applicants.
+	if *applicants > math.MaxInt32 || *posts > math.MaxInt32 ||
+		(*kind == "broom" && *depth > 30) || (*kind == "unsolvable" && *depth > math.MaxInt32/3) {
+		log.Fatal("-applicants, -posts or -depth exceeds the int32 id space")
+	}
+	switch *kind {
+	case "random", "zipf", "ties", "capacitated":
+		if *applicants > 0 && *posts < 1 {
+			log.Fatalf("-kind %s needs -posts >= 1 to draw preference lists from", *kind)
+		}
 	}
 
 	rng := rand.New(rand.NewSource(*seed))

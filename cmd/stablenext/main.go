@@ -38,6 +38,9 @@ func main() {
 	workers := flag.Int("workers", 0, "worker pool size (0 = all CPUs)")
 	timeout := flag.Duration("timeout", 0, "abort after this duration (0 = no limit)")
 	flag.Parse()
+	if *n < 0 {
+		log.Fatal("-n must be >= 0")
+	}
 
 	var ins *stablematch.Instance
 	var m *stablematch.Matching

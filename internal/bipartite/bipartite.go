@@ -8,8 +8,6 @@
 // reduction is differentially tested against Hopcroft–Karp.
 package bipartite
 
-import "repro/internal/exec"
-
 // Graph is a bipartite graph with NLeft left vertices and NRight right
 // vertices; Adj[l] lists the right neighbors of left vertex l.
 type Graph struct {
@@ -38,93 +36,6 @@ func (g *Graph) NumEdges() int {
 
 const inf = int32(1) << 30
 
-// HopcroftKarp computes a maximum-cardinality matching. matchL[l] is the
-// right partner of l or -1; matchR is the inverse. It runs in O(E sqrt(V)).
-func HopcroftKarp(g *Graph) (matchL, matchR []int32, size int) {
-	return HopcroftKarpCtx(nil, g)
-}
-
-// HopcroftKarpCtx is HopcroftKarp on an execution context: cancellation is
-// checked at every BFS/DFS phase boundary (there are O(sqrt(V)) phases) and
-// each phase is accounted as one round of O(E) work in the tracer. A nil cx
-// behaves like HopcroftKarp.
-func HopcroftKarpCtx(cx *exec.Ctx, g *Graph) (matchL, matchR []int32, size int) {
-	matchL = make([]int32, g.NLeft)
-	matchR = make([]int32, g.NRight)
-	for i := range matchL {
-		matchL[i] = -1
-	}
-	for i := range matchR {
-		matchR[i] = -1
-	}
-	// Greedy warm start.
-	for l := 0; l < g.NLeft; l++ {
-		for _, r := range g.Adj[l] {
-			if matchR[r] == -1 {
-				matchL[l] = r
-				matchR[r] = int32(l)
-				size++
-				break
-			}
-		}
-	}
-	dist := make([]int32, g.NLeft)
-	queue := make([]int32, 0, g.NLeft)
-	bfs := func() bool {
-		queue = queue[:0]
-		for l := 0; l < g.NLeft; l++ {
-			if matchL[l] == -1 {
-				dist[l] = 0
-				queue = append(queue, int32(l))
-			} else {
-				dist[l] = inf
-			}
-		}
-		found := false
-		for qi := 0; qi < len(queue); qi++ {
-			l := queue[qi]
-			for _, r := range g.Adj[l] {
-				nl := matchR[r]
-				if nl == -1 {
-					found = true
-				} else if dist[nl] == inf {
-					dist[nl] = dist[l] + 1
-					queue = append(queue, nl)
-				}
-			}
-		}
-		return found
-	}
-	var dfs func(l int32) bool
-	dfs = func(l int32) bool {
-		for _, r := range g.Adj[l] {
-			nl := matchR[r]
-			if nl == -1 || (dist[nl] == dist[l]+1 && dfs(nl)) {
-				matchL[l] = r
-				matchR[r] = int32(l)
-				return true
-			}
-		}
-		dist[l] = inf
-		return false
-	}
-	for {
-		if cx != nil {
-			cx.Check()
-			cx.Round(g.NumEdges())
-		}
-		if !bfs() {
-			break
-		}
-		for l := 0; l < g.NLeft; l++ {
-			if matchL[l] == -1 && dfs(int32(l)) {
-				size++
-			}
-		}
-	}
-	return matchL, matchR, size
-}
-
 // Label classifies a vertex relative to a maximum matching.
 type Label uint8
 
@@ -148,81 +59,4 @@ func (l Label) String() string {
 	default:
 		return "unreachable"
 	}
-}
-
-// EOU computes the even/odd/unreachable decomposition of g relative to the
-// maximum matching (matchL, matchR). The decomposition is well defined —
-// no vertex is reachable at both parities — precisely because the matching
-// is maximum; callers must pass one.
-//
-// Alternating BFS runs from every unmatched vertex on both sides: from an
-// unmatched vertex the first step uses a non-matching edge, and steps
-// alternate thereafter.
-func EOU(g *Graph, matchL, matchR []int32) (left, right []Label) {
-	left = make([]Label, g.NLeft)
-	right = make([]Label, g.NRight)
-	// Build reverse adjacency once for right-to-left traversal.
-	radj := make([][]int32, g.NRight)
-	for l, outs := range g.Adj {
-		for _, r := range outs {
-			radj[r] = append(radj[r], int32(l))
-		}
-	}
-
-	type node struct {
-		isLeft bool
-		v      int32
-	}
-	var queue []node
-	for l := 0; l < g.NLeft; l++ {
-		if matchL[l] == -1 {
-			left[l] = Even
-			queue = append(queue, node{true, int32(l)})
-		}
-	}
-	for r := 0; r < g.NRight; r++ {
-		if matchR[r] == -1 {
-			right[r] = Even
-			queue = append(queue, node{false, int32(r)})
-		}
-	}
-	for qi := 0; qi < len(queue); qi++ {
-		cur := queue[qi]
-		if cur.isLeft {
-			l := cur.v
-			if left[l] == Even {
-				// Non-matching edges lead to Odd right vertices.
-				for _, r := range g.Adj[l] {
-					if r == matchL[l] || right[r] != Unreachable {
-						continue
-					}
-					right[r] = Odd
-					queue = append(queue, node{false, r})
-				}
-			} else {
-				// Odd left vertex continues through its matching edge.
-				if r := matchL[l]; r != -1 && right[r] == Unreachable {
-					right[r] = Even
-					queue = append(queue, node{false, r})
-				}
-			}
-		} else {
-			r := cur.v
-			if right[r] == Even {
-				for _, l := range radj[r] {
-					if l == matchR[r] || left[l] != Unreachable {
-						continue
-					}
-					left[l] = Odd
-					queue = append(queue, node{true, l})
-				}
-			} else {
-				if l := matchR[r]; l != -1 && left[l] == Unreachable {
-					left[l] = Even
-					queue = append(queue, node{true, l})
-				}
-			}
-		}
-	}
-	return left, right
 }

@@ -77,7 +77,7 @@ func TestHopcroftKarpKnown(t *testing.T) {
 	g.AddEdge(1, 0)
 	g.AddEdge(2, 1)
 	g.AddEdge(2, 2)
-	matchL, matchR, size := HopcroftKarp(g)
+	matchL, matchR, size := new(Scratch).HopcroftKarpScratch(nil, g)
 	checkMatching(t, g, matchL, matchR, size)
 	if size != 3 {
 		t.Fatalf("size = %d, want 3", size)
@@ -88,7 +88,7 @@ func TestHopcroftKarpAgainstBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 150; trial++ {
 		g := randomGraph(rng, 1+rng.Intn(7), 1+rng.Intn(7), 0.4)
-		matchL, matchR, size := HopcroftKarp(g)
+		matchL, matchR, size := new(Scratch).HopcroftKarpScratch(nil, g)
 		checkMatching(t, g, matchL, matchR, size)
 		if want := bruteMaxMatching(g); size != want {
 			t.Fatalf("size = %d, want %d", size, want)
@@ -98,12 +98,12 @@ func TestHopcroftKarpAgainstBrute(t *testing.T) {
 
 func TestHopcroftKarpEmptyAndDisconnected(t *testing.T) {
 	g := New(3, 2)
-	_, _, size := HopcroftKarp(g)
+	_, _, size := new(Scratch).HopcroftKarpScratch(nil, g)
 	if size != 0 {
 		t.Fatalf("edgeless graph matched %d", size)
 	}
 	g.AddEdge(1, 1)
-	matchL, matchR, size := HopcroftKarp(g)
+	matchL, matchR, size := new(Scratch).HopcroftKarpScratch(nil, g)
 	checkMatching(t, g, matchL, matchR, size)
 	if size != 1 {
 		t.Fatalf("size = %d, want 1", size)
@@ -122,7 +122,7 @@ func TestHopcroftKarpPerfectOnLarge(t *testing.T) {
 			g.AddEdge(int32(l), int32(rng.Intn(n)))
 		}
 	}
-	_, _, size := HopcroftKarp(g)
+	_, _, size := new(Scratch).HopcroftKarpScratch(nil, g)
 	if size != n {
 		t.Fatalf("size = %d, want %d", size, n)
 	}
@@ -208,8 +208,8 @@ func TestEOUAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for trial := 0; trial < 150; trial++ {
 		g := randomGraph(rng, 1+rng.Intn(10), 1+rng.Intn(10), 0.35)
-		matchL, matchR, _ := HopcroftKarp(g)
-		gotL, gotR := EOU(g, matchL, matchR)
+		matchL, matchR, _ := new(Scratch).HopcroftKarpScratch(nil, g)
+		gotL, gotR := new(Scratch).EOUScratch(g, matchL, matchR)
 		wantL, wantR := refEOU(g, matchL, matchR)
 		for l := range gotL {
 			if gotL[l] != wantL[l] {
@@ -230,8 +230,8 @@ func TestEOUStarShape(t *testing.T) {
 	for l := 0; l < 3; l++ {
 		g.AddEdge(int32(l), 0)
 	}
-	matchL, matchR, _ := HopcroftKarp(g)
-	left, right := EOU(g, matchL, matchR)
+	matchL, matchR, _ := new(Scratch).HopcroftKarpScratch(nil, g)
+	left, right := new(Scratch).EOUScratch(g, matchL, matchR)
 	if right[0] != Odd {
 		t.Fatalf("star center = %v, want odd", right[0])
 	}
@@ -246,8 +246,8 @@ func TestEOUSingleEdgeUnreachable(t *testing.T) {
 	// A matched pair with no alternatives: both unreachable.
 	g := New(1, 1)
 	g.AddEdge(0, 0)
-	matchL, matchR, _ := HopcroftKarp(g)
-	left, right := EOU(g, matchL, matchR)
+	matchL, matchR, _ := new(Scratch).HopcroftKarpScratch(nil, g)
+	left, right := new(Scratch).EOUScratch(g, matchL, matchR)
 	if left[0] != Unreachable || right[0] != Unreachable {
 		t.Fatalf("labels = %v/%v, want unreachable", left[0], right[0])
 	}
@@ -259,14 +259,14 @@ func TestEOUNoVertexBothParities(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	for trial := 0; trial < 80; trial++ {
 		g := randomGraph(rng, 1+rng.Intn(9), 1+rng.Intn(9), 0.4)
-		matchL, matchR, _ := HopcroftKarp(g)
+		matchL, matchR, _ := new(Scratch).HopcroftKarpScratch(nil, g)
 		radj := make([][]int32, g.NRight)
 		for l, outs := range g.Adj {
 			for _, r := range outs {
 				radj[r] = append(radj[r], int32(l))
 			}
 		}
-		left, right := EOU(g, matchL, matchR)
+		left, right := new(Scratch).EOUScratch(g, matchL, matchR)
 		// Structural consequences of maximality (see §V discussion):
 		// no edge joins two Even vertices.
 		for l, outs := range g.Adj {
@@ -290,6 +290,6 @@ func BenchmarkHopcroftKarp(b *testing.B) {
 	g := randomGraph(rng, 2000, 2000, 0.002)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		HopcroftKarp(g)
+		new(Scratch).HopcroftKarpScratch(nil, g)
 	}
 }

@@ -66,9 +66,13 @@ type Scratch struct {
 	nodeQueue   []eouNode
 }
 
-// HopcroftKarpScratch is HopcroftKarpCtx with every working array (and the
-// returned matchL/matchR) drawn from the Scratch. Results are bit-identical
-// to HopcroftKarpCtx; the returned slices are owned by the Scratch.
+// HopcroftKarpScratch computes a maximum-cardinality matching in
+// O(E sqrt(V)): matchL[l] is the right partner of l or -1, and matchR is the
+// inverse. Cancellation is checked at every BFS/DFS phase boundary (there
+// are O(sqrt(V)) phases), and each phase is accounted as one round of O(E)
+// work in the tracer; a nil cx does neither. Every working array, and the
+// returned matchL/matchR, is drawn from the Scratch, which owns the
+// returned slices.
 func (s *Scratch) HopcroftKarpScratch(cx *exec.Ctx, g *Graph) (matchL, matchR []int32, size int) {
 	matchL = exec.Grow(&s.matchL, g.NLeft)
 	matchR = exec.Grow(&s.matchR, g.NRight)
@@ -152,17 +156,22 @@ type eouNode struct {
 	v      int32
 }
 
-// EOUScratch is EOU with the reverse adjacency, labels and BFS queue drawn
-// from the Scratch. The decomposition is unique for a maximum matching, so
-// the labels equal EOU's; the returned slices are owned by the Scratch.
+// EOUScratch computes the even/odd/unreachable decomposition of g relative
+// to the maximum matching (matchL, matchR). The decomposition is well
+// defined — no vertex is reachable at both parities — precisely because the
+// matching is maximum; callers must pass one.
+//
+// Alternating BFS runs from every unmatched vertex on both sides: from an
+// unmatched vertex the first step uses a non-matching edge, and steps
+// alternate thereafter. The reverse adjacency, labels and BFS queue are
+// drawn from the Scratch, which owns the returned slices.
 func (s *Scratch) EOUScratch(g *Graph, matchL, matchR []int32) (left, right []Label) {
 	left, right = exec.Grow(&s.left, g.NLeft), exec.Grow(&s.right, g.NRight)
 	clear(left)
 	clear(right)
 
 	// Reverse adjacency as a counting-sort CSR over the recycled flat array
-	// (entry order per right vertex matches the append-based build: left ids
-	// increase).
+	// (left ids increase within each right vertex's entries).
 	radjOff := exec.Grow(&s.radjOff, g.NRight+1)
 	clear(radjOff)
 	edges := 0

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/par"
 )
 
@@ -133,7 +134,7 @@ func TestParallelRoundsPolylog(t *testing.T) {
 			}
 		}
 		var tr par.Tracer
-		Parallel(par.WithTracer(p, &tr), n, edges)
+		Parallel(exec.New(exec.Config{Pool: p, Tracer: &tr}), n, edges)
 		// Generous polylog budget: c · log2(n)^2 rounds.
 		log2 := 0
 		for 1<<log2 < n {

@@ -920,8 +920,11 @@ func (k *kernel) applicantComplete(m *onesided.Matching) (ok bool, err error) {
 	return true, nil
 }
 
-// promote performs Algorithm 1 lines 5-7 in one parallel round; see the
-// documentation on the package-level promote.
+// promote performs Algorithm 1 lines 5-7: every f-post left unmatched by the
+// applicant-complete matching takes an applicant from f⁻¹(p) — necessarily
+// matched to their s-post — in one parallel round. The promoted applicants
+// are pairwise distinct because the sets f⁻¹(p) partition the applicants, so
+// all promotions commute.
 func (k *kernel) promote(m *onesided.Matching) (int, error) {
 	k.m = m
 	k.bad.Store(0)

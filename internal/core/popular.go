@@ -65,16 +65,6 @@ func popularFromReducedInto(r *Reduced, m *onesided.Matching, opt Options) (Resu
 	return Result{Matching: m, Exists: true, Peel: k.stats, Promotions: promotions}, nil
 }
 
-// promote performs Algorithm 1 lines 5-7: every f-post left unmatched by the
-// applicant-complete matching takes an applicant from f⁻¹(p) — necessarily
-// matched to their s-post — in one parallel round. The promoted applicants
-// are pairwise distinct because the sets f⁻¹(p) partition the applicants, so
-// all promotions commute. The implementation is the kernel's prebound
-// promotion round.
-func promote(r *Reduced, m *onesided.Matching, opt Options) (int, error) {
-	return r.k.promote(m)
-}
-
 // VerifyPopular checks the Theorem 1 characterization of m against a
 // strictly-ordered instance: (i) every f-post is matched, and (ii) every
 // applicant holds f(a) or s(a). It returns nil iff m is popular.

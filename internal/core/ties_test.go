@@ -131,7 +131,7 @@ func TestSolveTiesAllRankOneAlwaysExists(t *testing.T) {
 				g.AddEdge(int32(a), p)
 			}
 		}
-		_, _, maxSize := bipartite.HopcroftKarp(g)
+		_, _, maxSize := new(bipartite.Scratch).HopcroftKarpScratch(nil, g)
 		if got := res.Matching.Size(ins); got != maxSize {
 			t.Fatalf("trial %d: popular size %d != max matching %d (Lemma 12)",
 				trial, got, maxSize)
@@ -157,7 +157,7 @@ func TestTheorem11Reduction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, want := bipartite.HopcroftKarp(g)
+		_, _, want := new(bipartite.Scratch).HopcroftKarpScratch(nil, g)
 		if size != want {
 			t.Fatalf("%dx%d at density %.3f: reduction found %d, Hopcroft-Karp %d", nl, nr, density, size, want)
 		}

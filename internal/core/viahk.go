@@ -31,7 +31,7 @@ func PopularViaMatching(ins *onesided.Instance, opt Options) (res Result, err er
 		g.AddEdge(int32(a), r.F[a])
 		g.AddEdge(int32(a), r.S[a])
 	}
-	matchL, _, size := bipartite.HopcroftKarp(g)
+	matchL, _, size := new(bipartite.Scratch).HopcroftKarpScratch(nil, g)
 	if size != n1 {
 		return Result{Exists: false}, nil
 	}
@@ -39,7 +39,7 @@ func PopularViaMatching(ins *onesided.Instance, opt Options) (res Result, err er
 	for a := 0; a < n1; a++ {
 		m.Match(int32(a), matchL[a])
 	}
-	promotions, err := promote(r, m, opt)
+	promotions, err := r.k.promote(m)
 	if err != nil {
 		return Result{}, err
 	}

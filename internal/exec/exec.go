@@ -12,7 +12,7 @@
 //   - an optional Arena recycling scratch slices across solves.
 //
 // Ctx implements par.Runner, so every parallel primitive (par.Double,
-// par.ExclusiveScan, par.Reduce, ...) and every algorithm package runs on it
+// par.ExclusiveScan, ...) and every algorithm package runs on it
 // unchanged.
 //
 // # Cancellation
@@ -85,15 +85,6 @@ func (c *Ctx) Reset(cfg Config) {
 // or arena — the default context for one-shot calls and tests.
 func Background() *Ctx { return New(Config{}) }
 
-// Pool returns the underlying worker pool.
-func (c *Ctx) Pool() *par.Pool { return c.pool }
-
-// Tracer returns the attached tracer (possibly nil).
-func (c *Ctx) Tracer() *par.Tracer { return c.tr }
-
-// Context returns the attached context.Context.
-func (c *Ctx) Context() context.Context { return c.gctx }
-
 // Err returns the context's error, nil while the solve may proceed.
 func (c *Ctx) Err() error { return c.gctx.Err() }
 
@@ -150,10 +141,6 @@ func (c *Ctx) Workers() int { return c.pool.Workers() }
 
 // Round records one bulk-synchronous step in the tracer. Part of par.Runner.
 func (c *Ctx) Round(work int) { c.tr.Round(work) }
-
-// AddWork adds work to the tracer without starting a round. Part of
-// par.Runner.
-func (c *Ctx) AddWork(work int) { c.tr.AddWork(work) }
 
 // Phase marks the start of an algorithm phase in the tracer: subsequent
 // rounds, work and wall time are attributed to p until the next Phase call.

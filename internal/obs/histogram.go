@@ -125,11 +125,3 @@ func (s HistSnapshot) Quantile(q float64) float64 {
 	}
 	return float64(BucketUpper(NumBuckets - 2))
 }
-
-// Mean returns the average observed value in raw units (0 when empty).
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}

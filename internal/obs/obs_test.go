@@ -124,9 +124,6 @@ func TestQuantile(t *testing.T) {
 	if p0 := s.Quantile(0); p0 <= 0 || p0 > 2 {
 		t.Errorf("p0 = %v, want in (0, 2]", p0)
 	}
-	if m := s.Mean(); m != 500.5 {
-		t.Errorf("mean = %v, want 500.5", m)
-	}
 }
 
 // TestZeroValueRegistry confirms a zero-value Registry (and zero-value
@@ -220,7 +217,7 @@ func TestCounterHammer(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 10000; i++ {
-				c.Inc()
+				c.Add(1)
 				hi.Max(int64(g*10000 + i))
 			}
 		}(g)

@@ -20,7 +20,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -35,15 +34,8 @@ type Counter struct{ v atomic.Int64 }
 // Add increments the counter by n.
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
-
-// Store sets the counter to n. Intended for gauges-as-counters and tests;
-// concurrent Adds may interleave.
-func (c *Counter) Store(n int64) { c.v.Store(n) }
 
 // Max raises the counter to n if n exceeds the current value (CAS loop).
 // Used for high-water marks like the largest batch dispatched.
@@ -214,16 +206,4 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// Names returns the registered series names, sorted. Intended for tests.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.metrics))
-	for _, m := range r.metrics {
-		out = append(out, m.name)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -59,7 +59,7 @@ const (
 )
 
 // ErrNotBinary is returned when the input does not start with BinaryMagic.
-var ErrNotBinary = errors.New("onesided: not a binary instance (bad magic)")
+var ErrNotBinary = errors.New("not a binary instance (bad magic)")
 
 // LooksBinary reports whether b begins with the binary-format magic. It is
 // the auto-detection predicate: text instances start with "posts" or
@@ -174,14 +174,14 @@ func parseBinaryHeader(data []byte) (binaryLayout, error) {
 		return l, ErrNotBinary
 	}
 	if len(data) < binaryHeaderSize {
-		return l, fmt.Errorf("onesided: binary instance truncated: %d header bytes, want %d", len(data), binaryHeaderSize)
+		return l, fmt.Errorf("binary instance truncated: %d header bytes, want %d", len(data), binaryHeaderSize)
 	}
 	if v := binary.LittleEndian.Uint32(data[8:]); v != binaryVersion {
-		return l, fmt.Errorf("onesided: unsupported binary instance version %d (reader supports %d)", v, binaryVersion)
+		return l, fmt.Errorf("unsupported binary instance version %d (reader supports %d)", v, binaryVersion)
 	}
 	l.flags = binary.LittleEndian.Uint32(data[12:])
 	if l.flags&^uint32(flagKnown) != 0 {
-		return l, fmt.Errorf("onesided: binary instance sets reserved flag bits %#x", l.flags&^uint32(flagKnown))
+		return l, fmt.Errorf("binary instance sets reserved flag bits %#x", l.flags&^uint32(flagKnown))
 	}
 	applicants := binary.LittleEndian.Uint64(data[16:])
 	posts := binary.LittleEndian.Uint64(data[24:])
@@ -189,7 +189,7 @@ func parseBinaryHeader(data []byte) (binaryLayout, error) {
 	// Counts share the int32 budget of every other layer (post ids and CSR
 	// offsets are int32), and numApplicants+1 must still fit.
 	if applicants >= math.MaxInt32 || posts > math.MaxInt32 || edges > math.MaxInt32 {
-		return l, fmt.Errorf("onesided: binary instance dimensions overflow int32 (%d applicants, %d posts, %d edges)",
+		return l, fmt.Errorf("binary instance dimensions overflow int32 (%d applicants, %d posts, %d edges)",
 			applicants, posts, edges)
 	}
 	l.applicants, l.posts, l.edges = int(applicants), int(posts), int(edges)
@@ -197,10 +197,10 @@ func parseBinaryHeader(data []byte) (binaryLayout, error) {
 	want := binarySize(l.applicants, l.posts, l.edges, hasCaps)
 	total := binary.LittleEndian.Uint64(data[72:])
 	if total != want {
-		return l, fmt.Errorf("onesided: binary instance declares %d bytes, dimensions require %d", total, want)
+		return l, fmt.Errorf("binary instance declares %d bytes, dimensions require %d", total, want)
 	}
 	if uint64(len(data)) != want {
-		return l, fmt.Errorf("onesided: binary instance is %d bytes, header requires %d", len(data), want)
+		return l, fmt.Errorf("binary instance is %d bytes, header requires %d", len(data), want)
 	}
 	l.total = int(want)
 	// Version 1 fixes the canonical layout; the stored offsets must agree.
@@ -222,7 +222,7 @@ func parseBinaryHeader(data []byte) (binaryLayout, error) {
 		{"capacity", binary.LittleEndian.Uint64(data[64:]), capOff},
 	} {
 		if c.got != c.want {
-			return l, fmt.Errorf("onesided: binary instance %s section at offset %d, canonical layout requires %d", c.name, c.got, c.want)
+			return l, fmt.Errorf("binary instance %s section at offset %d, canonical layout requires %d", c.name, c.got, c.want)
 		}
 	}
 	l.offOff, l.postOff, l.rankOff, l.capOff = int(offOff), int(postOff), int(rankOff), int(capOff)
@@ -273,7 +273,7 @@ func decodeBinary(data []byte, fingerprint bool) (*Instance, error) {
 		return nil, err
 	}
 	if c.Strict() != (l.flags&flagStrict != 0) {
-		return nil, fmt.Errorf("onesided: binary instance strictness flag %v contradicts its rank data", l.flags&flagStrict != 0)
+		return nil, fmt.Errorf("binary instance strictness flag %v contradicts its rank data", l.flags&flagStrict != 0)
 	}
 	ins := c.Instance()
 	ins.csrCache.Store(c)
@@ -287,25 +287,22 @@ func decodeBinary(data []byte, fingerprint bool) (*Instance, error) {
 }
 
 // validateDecoded is the single bounds-checking pass over a freshly aliased
-// CSR: it enforces exactly the invariants of CSR.Validate (monotone offsets
-// covering the flat arrays, non-empty rows, in-range distinct posts, 1-based
-// contiguous nondecreasing ranks, positive capacities), derives the
-// strictness bit, and — given a hasher — streams the per-row SHA-256
-// digests while the row is hot in cache. Duplicate detection goes through
-// dupSet, so a pathological header (huge post space, tiny file) costs
-// memory proportional to the input, not to the claim.
+// CSR: it checks that the offsets start at 0, never decrease and cover the
+// flat arrays, applies the capacity rule and, row by row, the row rule
+// (checkRow), derives the strictness bit, and — given a hasher — streams the
+// per-row SHA-256 digests while the row is hot in cache. Duplicate detection
+// goes through dupSet, so a pathological header (huge post space, tiny file)
+// costs memory proportional to the input, not to the claim.
 func validateDecoded(c *CSR, h *rowHasher) (rowDigests, error) {
 	if c.Off[0] != 0 {
-		return nil, fmt.Errorf("onesided: binary instance row offsets start at %d, want 0", c.Off[0])
+		return nil, fmt.Errorf("binary instance row offsets start at %d, want 0", c.Off[0])
 	}
 	if int(c.Off[c.NumApplicants]) != len(c.Post) {
-		return nil, fmt.Errorf("onesided: binary instance row offsets end at %d but flat arrays have %d entries",
+		return nil, fmt.Errorf("binary instance row offsets end at %d but flat arrays have %d entries",
 			c.Off[c.NumApplicants], len(c.Post))
 	}
-	for p, cp := range c.Capacities {
-		if cp < 1 {
-			return nil, fmt.Errorf("onesided: post %d has capacity %d, want >= 1", p, cp)
-		}
+	if err := checkCapacities(c.NumPosts, c.Capacities); err != nil {
+		return nil, err
 	}
 	seen := newDupSet(c.NumPosts, len(c.Post))
 	var digests rowDigests
@@ -316,29 +313,14 @@ func validateDecoded(c *CSR, h *rowHasher) (rowDigests, error) {
 	for a := 0; a < c.NumApplicants; a++ {
 		lo, hi := c.Off[a], c.Off[a+1]
 		if hi < lo || int(hi) > len(c.Post) {
-			return nil, fmt.Errorf("onesided: binary instance row offsets of applicant %d are out of order", a)
+			return nil, fmt.Errorf("binary instance row offsets of applicant %d are out of order", a)
 		}
-		if lo == hi {
-			return nil, fmt.Errorf("onesided: applicant %d has an empty preference list", a)
+		tied, err := checkRow(a, c.Post[lo:hi], c.Rank[lo:hi], c.NumPosts, &seen)
+		if err != nil {
+			return nil, err
 		}
-		stamp := int32(a) + 1
-		for i := lo; i < hi; i++ {
-			p := c.Post[i]
-			if p < 0 || int(p) >= c.NumPosts {
-				return nil, fmt.Errorf("onesided: applicant %d lists out-of-range post %d", a, p)
-			}
-			if seen.mark(p, stamp) {
-				return nil, fmt.Errorf("onesided: applicant %d lists post %d twice", a, p)
-			}
-			switch {
-			case i == lo && c.Rank[i] != 1:
-				return nil, fmt.Errorf("onesided: applicant %d first rank is %d, want 1", a, c.Rank[i])
-			case i > lo && (c.Rank[i] < c.Rank[i-1] || c.Rank[i] > c.Rank[i-1]+1):
-				return nil, fmt.Errorf("onesided: applicant %d ranks not contiguous at position %d", a, i-lo)
-			}
-			if i > lo && c.Rank[i] == c.Rank[i-1] {
-				strict = false
-			}
+		if tied {
+			strict = false
 		}
 		if h != nil {
 			digests[a] = h.digest(c.Post[lo:hi], c.Rank[lo:hi])
@@ -356,7 +338,7 @@ func ReadBinary(r io.Reader) (*Instance, error) {
 	var header [binaryHeaderSize]byte
 	if _, err := io.ReadFull(r, header[:]); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
-			return nil, fmt.Errorf("onesided: binary instance truncated inside the %d-byte header", binaryHeaderSize)
+			return nil, fmt.Errorf("binary instance truncated inside the %d-byte header", binaryHeaderSize)
 		}
 		return nil, err
 	}
@@ -365,7 +347,7 @@ func ReadBinary(r io.Reader) (*Instance, error) {
 	}
 	total := binary.LittleEndian.Uint64(header[72:])
 	if total < binaryHeaderSize || total > math.MaxInt32 {
-		return nil, fmt.Errorf("onesided: binary instance declares impossible size %d", total)
+		return nil, fmt.Errorf("binary instance declares impossible size %d", total)
 	}
 	// ReadAll grows geometrically from the bytes actually received, so a
 	// header claiming more data than the stream holds errors out after
@@ -375,7 +357,7 @@ func ReadBinary(r io.Reader) (*Instance, error) {
 		return nil, err
 	}
 	if uint64(len(rest)) != total-binaryHeaderSize {
-		return nil, fmt.Errorf("onesided: binary instance declares %d bytes but the stream has %d",
+		return nil, fmt.Errorf("binary instance declares %d bytes but the stream has %d",
 			total, binaryHeaderSize+len(rest))
 	}
 	data := make([]byte, 0, total)

@@ -136,13 +136,3 @@ func MaxPopularSizeBrute(ins *Instance) int {
 	}
 	return best
 }
-
-// Key returns a canonical string key for a matching (for set comparisons in
-// tests).
-func (m *Matching) Key() string {
-	buf := make([]byte, 0, 4*len(m.PostOf))
-	for _, p := range m.PostOf {
-		buf = append(buf, byte(p>>8), byte(p), ',')
-	}
-	return string(buf)
-}

@@ -294,27 +294,15 @@ func Lift(ins *Instance, unit *Instance, firstClone []int32, as *Assignment) *Ma
 	return m
 }
 
-// UnpopularityMarginAssignment returns the best vote margin any
+// UnpopularityMarginAssignmentCtx returns the best vote margin any
 // applicant-complete capacitated assignment achieves against as (≤ 0 iff as
 // is popular), by running the Hungarian margin oracle on the cloned
-// instance. Intended for verification on moderate sizes.
-func UnpopularityMarginAssignment(ins *Instance, as *Assignment) (int, error) {
-	return UnpopularityMarginAssignmentCtx(exec.Background(), ins, as)
-}
-
-// UnpopularityMarginAssignmentCtx is UnpopularityMarginAssignment on an
-// execution context; the dominant Hungarian sweep polls cancellation.
+// instance. Intended for verification on moderate sizes; the dominant
+// Hungarian sweep polls cx for cancellation.
 func UnpopularityMarginAssignmentCtx(cx *exec.Ctx, ins *Instance, as *Assignment) (int, error) {
 	unit, _, firstClone, err := ins.Expand()
 	if err != nil {
 		return 0, err
 	}
 	return UnpopularityMarginCtx(cx, unit, Lift(ins, unit, firstClone, as)), nil
-}
-
-// IsPopularAssignmentOracle reports popularity of a capacitated assignment
-// via the margin oracle.
-func IsPopularAssignmentOracle(ins *Instance, as *Assignment) (bool, error) {
-	margin, err := UnpopularityMarginAssignment(ins, as)
-	return margin <= 0, err
 }

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/exec"
 )
 
 // capFixture is a small CHA instance: p0 has two seats everyone wants first.
@@ -190,10 +192,11 @@ func TestAssignmentPopularityBruteAgreesWithOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			brute := IsPopularAssignmentBrute(ins, as)
-			oracle, err := IsPopularAssignmentOracle(ins, as)
+			margin, err := UnpopularityMarginAssignmentCtx(exec.Background(), ins, as)
 			if err != nil {
 				t.Fatal(err)
 			}
+			oracle := margin <= 0
 			if brute != oracle {
 				t.Fatalf("trial %d: brute=%v oracle=%v for %v (lists=%v caps=%v)",
 					trial, brute, oracle, postOf, ins.Lists, ins.Capacities)

@@ -1,7 +1,5 @@
 package onesided
 
-import "fmt"
-
 // CSR is the flat, arena-friendly form of an Instance: the preference lists
 // of all applicants concatenated into three contiguous arrays in compressed
 // sparse row layout. It is the canonical in-memory representation the solver
@@ -90,9 +88,6 @@ func (c *CSR) Instance() *Instance {
 // NumEdges is the total preference-list length over all applicants.
 func (c *CSR) NumEdges() int { return len(c.Post) }
 
-// Degree is the length of applicant a's list.
-func (c *CSR) Degree(a int) int { return int(c.Off[a+1] - c.Off[a]) }
-
 // List returns applicant a's posts, most preferred first (a view into the
 // flat array; do not mutate).
 func (c *CSR) List(a int) []int32 { return c.Post[c.Off[a]:c.Off[a+1]] }
@@ -100,125 +95,11 @@ func (c *CSR) List(a int) []int32 { return c.Post[c.Off[a]:c.Off[a+1]] }
 // Ranks returns the ranks aligned with List(a) (a view; do not mutate).
 func (c *CSR) Ranks(a int) []int32 { return c.Rank[c.Off[a]:c.Off[a+1]] }
 
-// First returns applicant a's most-preferred post (rank 1; on strict
-// instances the unique first choice f(a)).
-func (c *CSR) First(a int) int32 { return c.Post[c.Off[a]] }
-
 // Strict reports whether no row contains a tie (precomputed at build).
 func (c *CSR) Strict() bool { return c.strict }
-
-// LastResort returns the virtual last-resort post id of applicant a.
-func (c *CSR) LastResort(a int) int32 { return int32(c.NumPosts + a) }
-
-// IsLastResort reports whether post id p is a virtual last resort.
-func (c *CSR) IsLastResort(p int32) bool { return int(p) >= c.NumPosts }
 
 // TotalPosts is the number of post ids including last resorts.
 func (c *CSR) TotalPosts() int { return c.NumPosts + c.NumApplicants }
 
 // LastResortRank is the rank of l(a): one worse than a's worst listed rank.
 func (c *CSR) LastResortRank(a int) int32 { return c.Rank[c.Off[a+1]-1] + 1 }
-
-// Capacity returns the capacity of real post p (1 when Capacities is nil).
-func (c *CSR) Capacity(p int32) int32 {
-	if c.Capacities == nil {
-		return 1
-	}
-	return c.Capacities[p]
-}
-
-// dupSet detects duplicate posts within an applicant's row. When the post
-// space is data-backed (at most a small multiple of the edge count) it is one
-// stamp array over the posts — two linear passes, no hashing. A declared post
-// space vastly larger than the edge set (legal, but typical only of hostile
-// or degenerate inputs: a tiny file claiming 10^9 posts) falls back to a map
-// so validation memory stays proportional to the actual input, never to an
-// unvalidated claim.
-type dupSet struct {
-	stamps []int32 // stamps[p] == a+1 iff applicant a listed p
-	m      map[int32]int32
-}
-
-func newDupSet(numPosts, edges int) dupSet {
-	if numPosts <= 4*edges+64 {
-		return dupSet{stamps: make([]int32, numPosts)}
-	}
-	return dupSet{m: make(map[int32]int32, 16)}
-}
-
-// mark records that the applicant with the given stamp lists post p and
-// reports whether that applicant already listed it.
-func (d *dupSet) mark(p, stamp int32) bool {
-	if d.m == nil {
-		if d.stamps[p] == stamp {
-			return true
-		}
-		d.stamps[p] = stamp
-		return false
-	}
-	if d.m[p] == stamp {
-		return true
-	}
-	d.m[p] = stamp
-	return false
-}
-
-// Validate checks the CSR structural invariants: monotone offsets covering
-// the flat arrays, non-empty rows, in-range distinct posts per row, 1-based
-// contiguous nondecreasing ranks, and positive capacities. It mirrors
-// Instance.Validate so a CSR accepted here converts to a Validate-clean
-// Instance and vice versa.
-func (c *CSR) Validate() error {
-	if c.NumPosts < 0 {
-		return fmt.Errorf("onesided: negative post count %d", c.NumPosts)
-	}
-	if len(c.Off) != c.NumApplicants+1 {
-		return fmt.Errorf("onesided: CSR with %d applicants has %d offsets", c.NumApplicants, len(c.Off))
-	}
-	if c.NumApplicants > 0 && c.Off[0] != 0 {
-		return fmt.Errorf("onesided: CSR offsets start at %d, want 0", c.Off[0])
-	}
-	if len(c.Post) != len(c.Rank) {
-		return fmt.Errorf("onesided: CSR has %d posts but %d ranks", len(c.Post), len(c.Rank))
-	}
-	if n := len(c.Off); n > 0 && int(c.Off[n-1]) != len(c.Post) {
-		return fmt.Errorf("onesided: CSR offsets end at %d but flat arrays have %d entries", c.Off[n-1], len(c.Post))
-	}
-	if c.Capacities != nil {
-		if len(c.Capacities) != c.NumPosts {
-			return fmt.Errorf("onesided: %d posts but %d capacities", c.NumPosts, len(c.Capacities))
-		}
-		for p, cp := range c.Capacities {
-			if cp < 1 {
-				return fmt.Errorf("onesided: post %d has capacity %d, want >= 1", p, cp)
-			}
-		}
-	}
-	seen := newDupSet(c.NumPosts, len(c.Post))
-	for a := 0; a < c.NumApplicants; a++ {
-		lo, hi := c.Off[a], c.Off[a+1]
-		if hi < lo {
-			return fmt.Errorf("onesided: CSR offsets of applicant %d decrease", a)
-		}
-		if lo == hi {
-			return fmt.Errorf("onesided: applicant %d has an empty preference list", a)
-		}
-		stamp := int32(a) + 1
-		for i := lo; i < hi; i++ {
-			p := c.Post[i]
-			if p < 0 || int(p) >= c.NumPosts {
-				return fmt.Errorf("onesided: applicant %d lists out-of-range post %d", a, p)
-			}
-			if seen.mark(p, stamp) {
-				return fmt.Errorf("onesided: applicant %d lists post %d twice", a, p)
-			}
-			switch {
-			case i == lo && c.Rank[i] != 1:
-				return fmt.Errorf("onesided: applicant %d first rank is %d, want 1", a, c.Rank[i])
-			case i > lo && (c.Rank[i] < c.Rank[i-1] || c.Rank[i] > c.Rank[i-1]+1):
-				return fmt.Errorf("onesided: applicant %d ranks not contiguous at position %d", a, i-lo)
-			}
-		}
-	}
-	return nil
-}

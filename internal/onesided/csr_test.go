@@ -4,14 +4,18 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// TestValidateErrorPaths pins every structural check of Instance.Validate
-// (and its CSR mirror): the stamp-array rewrite must reject exactly what the
-// map-based original rejected.
+// TestValidateErrorPaths pins every structural check of Instance.Validate:
+// the stamp-array rewrite must reject exactly what the map-based original
+// rejected. The row-rule and capacity cases run through the binary decoder
+// too (an encoding of the broken instance), and the row-rule cases through
+// SetPreferences (the broken row submitted to a valid instance), so every
+// surface that accepts rows applies the same rule with the same text.
 func TestValidateErrorPaths(t *testing.T) {
 	valid := func() *Instance {
 		return &Instance{
@@ -21,25 +25,31 @@ func TestValidateErrorPaths(t *testing.T) {
 			Ranks:         [][]int32{{1, 2}, {1}},
 		}
 	}
+	// Besides Validate, the entry points that must reject a case.
+	const (
+		decoder = 1 << iota
+		setPreferences
+	)
 	cases := []struct {
 		name    string
 		mutate  func(*Instance)
 		wantSub string
+		also    int
 	}{
-		{"list count mismatch", func(ins *Instance) { ins.Lists = ins.Lists[:1] }, "lists"},
-		{"rank row count mismatch", func(ins *Instance) { ins.Ranks = ins.Ranks[:1] }, "rank rows"},
-		{"row length mismatch", func(ins *Instance) { ins.Ranks[0] = []int32{1} }, "2 posts but 1 ranks"},
-		{"empty list", func(ins *Instance) { ins.Lists[1] = nil; ins.Ranks[1] = nil }, "empty preference list"},
-		{"negative post", func(ins *Instance) { ins.Lists[0][1] = -1 }, "out-of-range"},
-		{"post too large", func(ins *Instance) { ins.Lists[1][0] = 3 }, "out-of-range"},
-		{"duplicate post", func(ins *Instance) { ins.Lists[0][1] = 0; ins.Ranks[0][1] = 2 }, "twice"},
-		{"first rank not 1", func(ins *Instance) { ins.Ranks[0][0] = 2 }, "first rank"},
-		{"decreasing rank", func(ins *Instance) { ins.Ranks[0] = []int32{1, 0} }, "not contiguous"},
-		{"rank gap", func(ins *Instance) { ins.Ranks[0] = []int32{1, 3} }, "not contiguous"},
-		{"capacity count mismatch", func(ins *Instance) { ins.Capacities = []int32{1} }, "3 posts but 1 capacities"},
-		{"zero capacity", func(ins *Instance) { ins.Capacities = []int32{1, 0, 1} }, "capacity 0"},
-		{"negative capacity", func(ins *Instance) { ins.Capacities = []int32{1, 1, -2} }, "capacity -2"},
-		{"negative post count", func(ins *Instance) { ins.NumPosts = -1 }, "negative post count"},
+		{"list count mismatch", func(ins *Instance) { ins.Lists = ins.Lists[:1] }, "lists", 0},
+		{"rank row count mismatch", func(ins *Instance) { ins.Ranks = ins.Ranks[:1] }, "rank rows", 0},
+		{"row length mismatch", func(ins *Instance) { ins.Ranks[0] = []int32{1} }, "2 posts but 1 ranks", setPreferences},
+		{"empty list", func(ins *Instance) { ins.Lists[1] = nil; ins.Ranks[1] = nil }, "empty preference list", decoder | setPreferences},
+		{"negative post", func(ins *Instance) { ins.Lists[0][1] = -1 }, "out-of-range", decoder | setPreferences},
+		{"post too large", func(ins *Instance) { ins.Lists[1][0] = 3 }, "out-of-range", decoder | setPreferences},
+		{"duplicate post", func(ins *Instance) { ins.Lists[0][1] = 0; ins.Ranks[0][1] = 2 }, "twice", decoder | setPreferences},
+		{"first rank not 1", func(ins *Instance) { ins.Ranks[0][0] = 2 }, "first rank", decoder | setPreferences},
+		{"decreasing rank", func(ins *Instance) { ins.Ranks[0] = []int32{1, 0} }, "not contiguous", decoder | setPreferences},
+		{"rank gap", func(ins *Instance) { ins.Ranks[0] = []int32{1, 3} }, "not contiguous", decoder | setPreferences},
+		{"capacity count mismatch", func(ins *Instance) { ins.Capacities = []int32{1} }, "3 posts but 1 capacities", 0},
+		{"zero capacity", func(ins *Instance) { ins.Capacities = []int32{1, 0, 1} }, "capacity 0", decoder},
+		{"negative capacity", func(ins *Instance) { ins.Capacities = []int32{1, 1, -2} }, "capacity -2", decoder},
+		{"negative post count", func(ins *Instance) { ins.NumPosts = -1 }, "negative post count", 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -55,17 +65,25 @@ func TestValidateErrorPaths(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.wantSub) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
 			}
+			if tc.also&decoder != 0 {
+				_, derr := DecodeBinary(EncodeBinary(nil, BuildCSR(ins)))
+				if derr == nil || derr.Error() != err.Error() {
+					t.Fatalf("decoder error %v, Validate error %q", derr, err)
+				}
+			}
+			if tc.also&setPreferences != 0 {
+				base := valid()
+				for a := range ins.Lists {
+					if slices.Equal(ins.Lists[a], base.Lists[a]) && slices.Equal(ins.Ranks[a], base.Ranks[a]) {
+						continue
+					}
+					serr := base.SetPreferences(a, ins.Lists[a], ins.Ranks[a])
+					if serr == nil || serr.Error() != err.Error() {
+						t.Fatalf("SetPreferences(%d) error %v, Validate error %q", a, serr, err)
+					}
+				}
+			}
 		})
-	}
-}
-
-// TestCSRValidateNegativePosts pins that a negative post count is an error
-// of the flat form too, not a makeslice panic in the duplicate check.
-func TestCSRValidateNegativePosts(t *testing.T) {
-	c := BuildCSR(PaperFigure1())
-	c.NumPosts = -1
-	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "negative post count") {
-		t.Fatalf("negative post count: %v", err)
 	}
 }
 
@@ -111,7 +129,7 @@ func sameInstance(t *testing.T, a, b *Instance) {
 func roundTripCSR(t *testing.T, ins *Instance) {
 	t.Helper()
 	c := BuildCSR(ins)
-	if err := c.Validate(); err != nil {
+	if _, err := validateDecoded(c, nil); err != nil {
 		t.Fatalf("CSR of a valid instance invalid: %v", err)
 	}
 	if c.Strict() != ins.Strict() {
@@ -207,13 +225,7 @@ func TestCSRViews(t *testing.T) {
 	ins := RandomTies(rng, 40, 25, 1, 6, 0.3)
 	c := ins.CSR()
 	for a := 0; a < ins.NumApplicants; a++ {
-		if c.Degree(a) != len(ins.Lists[a]) {
-			t.Fatalf("applicant %d degree %d, want %d", a, c.Degree(a), len(ins.Lists[a]))
-		}
-		if c.First(a) != ins.Lists[a][0] {
-			t.Fatalf("applicant %d first %d, want %d", a, c.First(a), ins.Lists[a][0])
-		}
-		if c.LastResort(a) != ins.LastResort(a) || c.LastResortRank(a) != ins.LastResortRank(a) {
+		if c.LastResortRank(a) != ins.LastResortRank(a) {
 			t.Fatalf("applicant %d last-resort view mismatch", a)
 		}
 		for i, p := range c.List(a) {
@@ -257,7 +269,7 @@ func TestInvalidateRefreshesCaches(t *testing.T) {
 	if err := ins.SetCapacities([]int32{2, 1, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if got := ins.CSR().Capacity(0); got != 2 {
+	if got := ins.CSR().Capacities[0]; got != 2 {
 		t.Fatalf("CSR capacity after SetCapacities = %d, want 2", got)
 	}
 }

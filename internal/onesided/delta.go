@@ -101,7 +101,7 @@ func (ins *Instance) bumpWholesale() {
 // warm-starts from it.
 func (ins *Instance) SetPreferences(a int, posts, ranks []int32) error {
 	if a < 0 || a >= ins.NumApplicants {
-		return fmt.Errorf("onesided: SetPreferences: applicant %d out of range [0,%d)", a, ins.NumApplicants)
+		return fmt.Errorf("SetPreferences: applicant %d out of range [0,%d)", a, ins.NumApplicants)
 	}
 	p, r, err := ins.validateRow(a, posts, ranks)
 	if err != nil {
@@ -165,7 +165,7 @@ func (ins *Instance) AddApplicant(posts, ranks []int32) (int, error) {
 // place. Journaled as a shape change.
 func (ins *Instance) RemoveApplicant(a int) (moved int, err error) {
 	if a < 0 || a >= ins.NumApplicants {
-		return 0, fmt.Errorf("onesided: RemoveApplicant: applicant %d out of range [0,%d)", a, ins.NumApplicants)
+		return 0, fmt.Errorf("RemoveApplicant: applicant %d out of range [0,%d)", a, ins.NumApplicants)
 	}
 	last := ins.NumApplicants - 1
 	ins.Lists[a] = ins.Lists[last]
@@ -201,10 +201,10 @@ func (ins *Instance) RemoveApplicant(a int) (moved int, err error) {
 // Journaled as a shape change.
 func (ins *Instance) SetCapacity(p int32, capacity int32) error {
 	if p < 0 || int(p) >= ins.NumPosts {
-		return fmt.Errorf("onesided: SetCapacity: post %d out of range [0,%d)", p, ins.NumPosts)
+		return fmt.Errorf("SetCapacity: post %d out of range [0,%d)", p, ins.NumPosts)
 	}
-	if capacity < 1 {
-		return fmt.Errorf("onesided: SetCapacity: post %d capacity %d, want >= 1", p, capacity)
+	if err := checkCapacity(int(p), capacity); err != nil {
+		return err
 	}
 	if ins.Capacities == nil {
 		caps := make([]int32, ins.NumPosts)
@@ -222,16 +222,10 @@ func (ins *Instance) SetCapacity(p int32, capacity int32) error {
 	return nil
 }
 
-// validateRow checks one preference row against the instance's post range
-// (non-empty, in-range, distinct, contiguous 1-based ranks; nil ranks =
-// strict 1..len) and returns owned copies.
+// validateRow returns owned copies of a preference row for applicant a
+// (nil ranks = strict 1..len), checked by the row rule (checkRow) against
+// the instance's post range.
 func (ins *Instance) validateRow(a int, posts, ranks []int32) (p, r []int32, err error) {
-	if len(posts) == 0 {
-		return nil, nil, fmt.Errorf("onesided: applicant %d would have an empty preference list", a)
-	}
-	if ranks != nil && len(ranks) != len(posts) {
-		return nil, nil, fmt.Errorf("onesided: applicant %d given %d posts but %d ranks", a, len(posts), len(ranks))
-	}
 	p = append([]int32(nil), posts...)
 	if ranks == nil {
 		r = make([]int32, len(p))
@@ -241,21 +235,9 @@ func (ins *Instance) validateRow(a int, posts, ranks []int32) (p, r []int32, err
 	} else {
 		r = append([]int32(nil), ranks...)
 	}
-	seen := make(map[int32]struct{}, len(p))
-	for i, q := range p {
-		if q < 0 || int(q) >= ins.NumPosts {
-			return nil, nil, fmt.Errorf("onesided: applicant %d lists out-of-range post %d", a, q)
-		}
-		if _, dup := seen[q]; dup {
-			return nil, nil, fmt.Errorf("onesided: applicant %d lists post %d twice", a, q)
-		}
-		seen[q] = struct{}{}
-		switch {
-		case i == 0 && r[i] != 1:
-			return nil, nil, fmt.Errorf("onesided: applicant %d first rank is %d, want 1", a, r[i])
-		case i > 0 && (r[i] < r[i-1] || r[i] > r[i-1]+1):
-			return nil, nil, fmt.Errorf("onesided: applicant %d ranks not contiguous at position %d", a, i)
-		}
+	seen := newDupSet(ins.NumPosts, len(p))
+	if _, err := checkRow(a, p, r, ins.NumPosts, &seen); err != nil {
+		return nil, nil, err
 	}
 	return p, r, nil
 }

@@ -122,7 +122,7 @@ func FuzzBinaryReadWrite(f *testing.F) {
 		if vErr := ins.Validate(); vErr != nil {
 			t.Fatalf("decoder accepted an invalid instance: %v", vErr)
 		}
-		if csrErr := ins.CSR().Validate(); csrErr != nil {
+		if _, csrErr := validateDecoded(ins.CSR(), nil); csrErr != nil {
 			t.Fatalf("decoder produced an invalid CSR: %v", csrErr)
 		}
 		// Binary round trip: canonical re-encoding decodes to the same

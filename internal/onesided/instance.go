@@ -88,29 +88,23 @@ func NewWithTies(numPosts int, lists [][]int32, ranks [][]int32) (*Instance, err
 	return ins, nil
 }
 
-// Validate checks structural invariants: non-empty lists, in-range distinct
-// posts, 1-based nondecreasing ranks starting at 1, and (when present)
-// positive per-post capacities. Duplicate detection goes through dupSet —
-// one stamp array over the posts when the post space is data-backed, a map
-// when a tiny input declares a huge one — so validating a large instance is
-// a pair of linear passes and memory never exceeds the input size.
+// Validate checks structural invariants: one list and one rank row per
+// applicant, every row obeying the row rule (checkRow), and (when present) a
+// capacity vector obeying the capacity rule (checkCapacities). Duplicate
+// detection goes through dupSet — one stamp array over the posts when the
+// post space is data-backed, a map when a tiny input declares a huge one —
+// so validating a large instance is a pair of linear passes and memory never
+// exceeds the input size.
 func (ins *Instance) Validate() error {
 	if ins.NumPosts < 0 {
-		return fmt.Errorf("onesided: negative post count %d", ins.NumPosts)
+		return fmt.Errorf("negative post count %d", ins.NumPosts)
 	}
 	if len(ins.Lists) != ins.NumApplicants || len(ins.Ranks) != ins.NumApplicants {
-		return fmt.Errorf("onesided: %d applicants but %d lists / %d rank rows",
+		return fmt.Errorf("%d applicants but %d lists / %d rank rows",
 			ins.NumApplicants, len(ins.Lists), len(ins.Ranks))
 	}
-	if ins.Capacities != nil {
-		if len(ins.Capacities) != ins.NumPosts {
-			return fmt.Errorf("onesided: %d posts but %d capacities", ins.NumPosts, len(ins.Capacities))
-		}
-		for p, c := range ins.Capacities {
-			if c < 1 {
-				return fmt.Errorf("onesided: post %d has capacity %d, want >= 1", p, c)
-			}
-		}
+	if err := checkCapacities(ins.NumPosts, ins.Capacities); err != nil {
+		return err
 	}
 	edges := 0
 	for _, l := range ins.Lists {
@@ -118,30 +112,109 @@ func (ins *Instance) Validate() error {
 	}
 	seen := newDupSet(ins.NumPosts, edges)
 	for a, l := range ins.Lists {
-		if len(l) == 0 {
-			return fmt.Errorf("onesided: applicant %d has an empty preference list", a)
-		}
-		r := ins.Ranks[a]
-		if len(r) != len(l) {
-			return fmt.Errorf("onesided: applicant %d has %d posts but %d ranks", a, len(l), len(r))
-		}
-		stamp := int32(a) + 1
-		for i, p := range l {
-			if p < 0 || int(p) >= ins.NumPosts {
-				return fmt.Errorf("onesided: applicant %d lists out-of-range post %d", a, p)
-			}
-			if seen.mark(p, stamp) {
-				return fmt.Errorf("onesided: applicant %d lists post %d twice", a, p)
-			}
-			switch {
-			case i == 0 && r[i] != 1:
-				return fmt.Errorf("onesided: applicant %d first rank is %d, want 1", a, r[i])
-			case i > 0 && (r[i] < r[i-1] || r[i] > r[i-1]+1):
-				return fmt.Errorf("onesided: applicant %d ranks not contiguous at position %d", a, i)
-			}
+		if _, err := checkRow(a, l, ins.Ranks[a], ins.NumPosts, &seen); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// checkRow is the row rule, shared by every surface that accepts preference
+// rows (Validate, the binary decoder and the mutation API): applicant a's
+// row is non-empty, has one rank per post, lists distinct posts in
+// [0, numPosts), and ranks them 1-based, nondecreasing and contiguous (equal
+// ranks are ties). seen carries the duplicate check across rows, marked with
+// the stamp a+1. It reports whether the row holds a tie, so a caller that
+// walks every row derives strictness in the same pass.
+func checkRow(a int, posts, ranks []int32, numPosts int, seen *dupSet) (tied bool, err error) {
+	if len(posts) == 0 {
+		return false, fmt.Errorf("applicant %d has an empty preference list", a)
+	}
+	if len(ranks) != len(posts) {
+		return false, fmt.Errorf("applicant %d has %d posts but %d ranks", a, len(posts), len(ranks))
+	}
+	stamp := int32(a) + 1
+	for i, p := range posts {
+		if p < 0 || int(p) >= numPosts {
+			return false, fmt.Errorf("applicant %d lists out-of-range post %d", a, p)
+		}
+		if seen.mark(p, stamp) {
+			return false, fmt.Errorf("applicant %d lists post %d twice", a, p)
+		}
+		switch r := ranks[i]; {
+		case i == 0:
+			if r != 1 {
+				return false, fmt.Errorf("applicant %d first rank is %d, want 1", a, r)
+			}
+		case r == ranks[i-1]:
+			tied = true
+		case r != ranks[i-1]+1:
+			return false, fmt.Errorf("applicant %d ranks not contiguous at position %d", a, i)
+		}
+	}
+	return tied, nil
+}
+
+// checkCapacities is the capacity rule for a whole vector: nil (unit
+// capacities), or one capacity per post, each obeying checkCapacity.
+func checkCapacities(numPosts int, caps []int32) error {
+	if caps == nil {
+		return nil
+	}
+	if len(caps) != numPosts {
+		return fmt.Errorf("%d posts but %d capacities", numPosts, len(caps))
+	}
+	for p, c := range caps {
+		if err := checkCapacity(p, c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkCapacity is the capacity rule for one post: it holds at least one
+// applicant.
+func checkCapacity(p int, c int32) error {
+	if c < 1 {
+		return fmt.Errorf("post %d has capacity %d, want >= 1", p, c)
+	}
+	return nil
+}
+
+// dupSet detects duplicate posts within an applicant's row. When the post
+// space is data-backed (at most a small multiple of the edge count) it is one
+// stamp array over the posts — two linear passes, no hashing. A declared post
+// space vastly larger than the edge set (legal, but typical only of hostile
+// or degenerate inputs: a tiny file claiming 10^9 posts) falls back to a map
+// so validation memory stays proportional to the actual input, never to an
+// unvalidated claim.
+type dupSet struct {
+	stamps []int32 // stamps[p] == a+1 iff applicant a listed p
+	m      map[int32]int32
+}
+
+func newDupSet(numPosts, edges int) dupSet {
+	if numPosts <= 4*edges+64 {
+		return dupSet{stamps: make([]int32, numPosts)}
+	}
+	return dupSet{m: make(map[int32]int32, min(edges, 16))}
+}
+
+// mark records that the applicant with the given stamp lists post p and
+// reports whether that applicant already listed it.
+func (d *dupSet) mark(p, stamp int32) bool {
+	if d.m == nil {
+		if d.stamps[p] == stamp {
+			return true
+		}
+		d.stamps[p] = stamp
+		return false
+	}
+	if d.m[p] == stamp {
+		return true
+	}
+	d.m[p] = stamp
+	return false
 }
 
 // Capacity returns the capacity of real post p (1 when Capacities is nil).

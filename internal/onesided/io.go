@@ -94,21 +94,21 @@ func Read(r io.Reader) (*Instance, error) {
 		if numPosts < 0 {
 			var n int
 			if _, err := fmt.Sscanf(line, "posts %d", &n); err != nil {
-				return nil, fmt.Errorf("onesided: line %d: expected `posts <n>` header: %v", lineNo, err)
+				return nil, fmt.Errorf("line %d: expected `posts <n>` header: %v", lineNo, err)
 			}
 			numPosts = n
 			continue
 		}
 		if isCapacityLine(line) {
 			if capacities != nil {
-				return nil, fmt.Errorf("onesided: line %d: duplicate capacity line", lineNo)
+				return nil, fmt.Errorf("line %d: duplicate capacity line", lineNo)
 			}
 			if len(lists) > 0 {
-				return nil, fmt.Errorf("onesided: line %d: capacity line must precede preference lists", lineNo)
+				return nil, fmt.Errorf("line %d: capacity line must precede preference lists", lineNo)
 			}
 			caps, err := parseCapacities(line, numPosts)
 			if err != nil {
-				return nil, fmt.Errorf("onesided: line %d: %v", lineNo, err)
+				return nil, fmt.Errorf("line %d: %v", lineNo, err)
 			}
 			capacities = caps
 			continue
@@ -118,7 +118,7 @@ func Read(r io.Reader) (*Instance, error) {
 		}
 		l, rk, err := parseList(line)
 		if err != nil {
-			return nil, fmt.Errorf("onesided: line %d: %v", lineNo, err)
+			return nil, fmt.Errorf("line %d: %v", lineNo, err)
 		}
 		lists = append(lists, l)
 		ranks = append(ranks, rk)
@@ -129,12 +129,12 @@ func Read(r io.Reader) (*Instance, error) {
 		// 16MiB+ capacity header names its line instead of a bare "token too
 		// long".
 		if errors.Is(err, bufio.ErrTooLong) {
-			return nil, fmt.Errorf("onesided: line %d: %w (lines are capped at %d bytes)", lineNo+1, err, maxTextLine)
+			return nil, fmt.Errorf("line %d: %w (lines are capped at %d bytes)", lineNo+1, err, maxTextLine)
 		}
-		return nil, fmt.Errorf("onesided: line %d: %w", lineNo+1, err)
+		return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
 	}
 	if numPosts < 0 {
-		return nil, fmt.Errorf("onesided: missing `posts <n>` header")
+		return nil, fmt.Errorf("missing `posts <n>` header")
 	}
 	ins, err := NewWithTies(numPosts, lists, ranks)
 	if err != nil {

@@ -69,6 +69,16 @@ func (m *Matching) Clone() *Matching {
 	}
 }
 
+// Key returns a canonical string key for a matching (for set comparisons in
+// tests).
+func (m *Matching) Key() string {
+	buf := make([]byte, 0, 4*len(m.PostOf))
+	for _, p := range m.PostOf {
+		buf = append(buf, byte(p>>8), byte(p), ',')
+	}
+	return string(buf)
+}
+
 // Equal reports whether m and o assign every applicant and post
 // identically — the bit-identical-result check of the determinism
 // contracts (same matching regardless of worker count).

@@ -41,20 +41,20 @@ func MapBinaryFile(path string) (*MappedInstance, error) {
 	}
 	size := st.Size()
 	if size < binaryHeaderSize {
-		return nil, fmt.Errorf("onesided: %s: binary instance truncated: %d bytes, want at least the %d-byte header",
+		return nil, fmt.Errorf("%s: binary instance truncated: %d bytes, want at least the %d-byte header",
 			path, size, binaryHeaderSize)
 	}
 	if size > math.MaxInt32 {
-		return nil, fmt.Errorf("onesided: %s: %d bytes exceeds the binary format's size budget", path, size)
+		return nil, fmt.Errorf("%s: %d bytes exceeds the binary format's size budget", path, size)
 	}
 	data, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_PRIVATE)
 	if err != nil {
-		return nil, fmt.Errorf("onesided: mmap %s: %w", path, err)
+		return nil, fmt.Errorf("mmap %s: %w", path, err)
 	}
 	ins, err := DecodeBinaryWithFingerprint(data)
 	if err != nil {
 		syscall.Munmap(data)
-		return nil, fmt.Errorf("onesided: %s: %w", path, err)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return &MappedInstance{Ins: ins, data: data}, nil
 }

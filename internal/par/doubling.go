@@ -60,42 +60,3 @@ func Double[T any](x Runner, succ []int32, vals []T, combine func(a, b T) T, k i
 	}
 	return ptr, val
 }
-
-// Lifting is a binary-lifting (sparse jump) table over a functional graph:
-// Up[k][v] is the vertex 2^k successor steps from v, with terminals
-// (succ[v] == v) absorbing. It supports exact O(log n) jumps of any length,
-// also around cycles. (The §IV switching-path queries need less and run on
-// pseudoforest.Ladder, which stops adding levels once they change nothing
-// those queries read.)
-type Lifting struct {
-	K  int
-	Up [][]int32
-}
-
-// BuildLifting constructs the jump table with Iterations(n)+1 levels.
-func BuildLifting(x Runner, succ []int32) *Lifting {
-	n := len(succ)
-	k := Iterations(n) + 1
-	up := make([][]int32, k)
-	up[0] = make([]int32, n)
-	copy(up[0], succ)
-	for lvl := 1; lvl < k; lvl++ {
-		prev := up[lvl-1]
-		cur := make([]int32, n)
-		x.For(n, func(v int) { cur[v] = prev[prev[v]] })
-		x.Round(n)
-		up[lvl] = cur
-	}
-	return &Lifting{K: k, Up: up}
-}
-
-// Jump returns the vertex `steps` successor hops from v (terminals absorb).
-func (l *Lifting) Jump(v int, steps int) int {
-	for lvl := 0; lvl < l.K && steps > 0; lvl++ {
-		if steps&(1<<lvl) != 0 {
-			v = int(l.Up[lvl][v])
-			steps &^= 1 << lvl
-		}
-	}
-	return v
-}

@@ -107,43 +107,6 @@ func TestDoubleRandomForestAgainstNaiveWalk(t *testing.T) {
 	}
 }
 
-func TestBuildLiftingJump(t *testing.T) {
-	p := NewPool(4)
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.Intn(200)
-		succ := make([]int32, n)
-		succ[0] = 0
-		for v := 1; v < n; v++ {
-			succ[v] = int32(rng.Intn(v))
-		}
-		l := BuildLifting(p, succ)
-		for q := 0; q < 50; q++ {
-			v := rng.Intn(n)
-			steps := rng.Intn(n + 5)
-			want := v
-			for s := 0; s < steps; s++ {
-				want = int(succ[want])
-			}
-			if got := l.Jump(v, steps); got != want {
-				t.Fatalf("n=%d: Jump(%d,%d) = %d, want %d", n, v, steps, got, want)
-			}
-		}
-	}
-}
-
-func TestBuildLiftingOnCycle(t *testing.T) {
-	p := NewPool(4)
-	succ := []int32{1, 2, 3, 4, 0} // 5-cycle
-	l := BuildLifting(p, succ)
-	if got := l.Jump(0, 5); got != 0 {
-		t.Fatalf("Jump(0,5) on 5-cycle = %d, want 0", got)
-	}
-	if got := l.Jump(2, 7); got != 4 {
-		t.Fatalf("Jump(2,7) on 5-cycle = %d, want 4", got)
-	}
-}
-
 func BenchmarkDoubling(b *testing.B) {
 	p := NewPool(0)
 	n := 1 << 18

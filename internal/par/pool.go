@@ -135,7 +135,6 @@ type Pool struct {
 	rounds  chan *round
 	done    chan struct{}
 	closed  atomic.Bool
-	tr      atomic.Pointer[Tracer]
 
 	// Scheduler observability. parks/parkNs count blocking waits in the
 	// worker loop (and the time spent parked); spinYields counts the
@@ -282,24 +281,9 @@ func SharedSized(workers int) *Pool {
 // Workers reports the number of workers the pool schedules onto.
 func (p *Pool) Workers() int { return p.workers }
 
-// AttachTracer directs subsequent Round/AddWork calls on the pool to t, so
-// code that runs against a bare *Pool (rather than a WithTracer wrapper or
-// an exec.Ctx) still produces truthful PRAM cost accounting. Attach nil to
-// detach. The attachment is atomic and may be swapped while loops run;
-// callers that need per-solve isolation should use WithTracer instead.
-func (p *Pool) AttachTracer(t *Tracer) { p.tr.Store(t) }
-
-// Tracer returns the tracer attached with AttachTracer, or nil.
-func (p *Pool) Tracer() *Tracer { return p.tr.Load() }
-
-// Round records one bulk-synchronous step of `work` elementary operations
-// into the attached tracer. Without an attached tracer it records nothing
-// (a nil *Tracer is valid and inert).
-func (p *Pool) Round(work int) { p.tr.Load().Round(work) }
-
-// AddWork adds work to the attached tracer's accounting without starting a
-// new round; see Round.
-func (p *Pool) AddWork(work int) { p.tr.Load().AddWork(work) }
+// Round is a no-op: a bare Pool records no PRAM costs. Runners that trace
+// (exec.Ctx) wrap a pool with a tracer.
+func (p *Pool) Round(int) {}
 
 // For runs fn(i) for every i in [0, n) in parallel. It corresponds to one
 // PRAM step ("for each x in parallel do"). fn must be safe to call

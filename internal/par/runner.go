@@ -3,10 +3,9 @@ package par
 // Runner is the execution substrate every parallel primitive in this
 // repository runs on: bulk-synchronous loops plus PRAM cost accounting.
 //
-// Three implementations exist:
+// Two implementations exist:
 //
-//   - *Pool: raw loops, no tracing (Round/AddWork are no-ops);
-//   - WithTracer(pool, tracer): loops on the pool, costs into the tracer;
+//   - *Pool: raw loops, no tracing (Round is a no-op);
 //   - *exec.Ctx: loops on a persistent pool with a tracer, plus
 //     context.Context cancellation checked at every round boundary and a
 //     scratch-buffer arena — the execution context the solvers use.
@@ -25,24 +24,4 @@ type Runner interface {
 	Workers() int
 	// Round records one bulk-synchronous step of `work` elementary ops.
 	Round(work int)
-	// AddWork adds work to the current round's accounting.
-	AddWork(work int)
 }
-
-// traced glues a Pool to a Tracer; see WithTracer.
-type traced struct {
-	p *Pool
-	t *Tracer
-}
-
-// WithTracer returns a Runner executing loops on p and recording PRAM costs
-// into t. A nil tracer is valid (and records nothing), so callers can thread
-// an optional tracer unconditionally.
-func WithTracer(p *Pool, t *Tracer) Runner { return traced{p: p, t: t} }
-
-func (r traced) For(n int, fn func(i int))               { r.p.For(n, fn) }
-func (r traced) ForGrain(n, grain int, fn func(i int))   { r.p.ForGrain(n, grain, fn) }
-func (r traced) Range(n, grain int, fn func(lo, hi int)) { r.p.Range(n, grain, fn) }
-func (r traced) Workers() int                            { return r.p.Workers() }
-func (r traced) Round(work int)                          { r.t.Round(work) }
-func (r traced) AddWork(work int)                        { r.t.AddWork(work) }

@@ -1,6 +1,6 @@
 package par
 
-// Prefix sums (scans) and stream compaction.
+// Prefix sums (scans).
 //
 // The implementation is the two-phase block scan: each worker reduces a block
 // (parallel round 1), the per-block sums are scanned by a single worker (the
@@ -49,47 +49,4 @@ func ExclusiveScan(x Runner, xs []int) (out []int, total int) {
 	})
 	x.Round(n)
 	return out, running
-}
-
-// InclusiveScan returns out where out[i] = xs[0] + ... + xs[i].
-func InclusiveScan(x Runner, xs []int) []int {
-	out, _ := ExclusiveScan(x, xs)
-	x.For(len(xs), func(i int) { out[i] += xs[i] })
-	x.Round(len(xs))
-	return out
-}
-
-// Compact returns, in increasing order, the indices i in [0, n) for which
-// keep(i) is true. It is the parallel pack/stream-compaction primitive: a
-// flag round, an exclusive scan, and a scatter round.
-func Compact(x Runner, n int, keep func(i int) bool) []int {
-	if n == 0 {
-		return nil
-	}
-	flags := make([]int, n)
-	x.For(n, func(i int) {
-		if keep(i) {
-			flags[i] = 1
-		}
-	})
-	x.Round(n)
-	offsets, total := ExclusiveScan(x, flags)
-	out := make([]int, total)
-	x.For(n, func(i int) {
-		if flags[i] == 1 {
-			out[offsets[i]] = i
-		}
-	})
-	x.Round(n)
-	return out
-}
-
-// CompactSlice packs the elements xs[i] with keep(i) into a fresh slice,
-// preserving order.
-func CompactSlice[T any](x Runner, xs []T, keep func(i int) bool) []T {
-	idx := Compact(x, len(xs), keep)
-	out := make([]T, len(idx))
-	x.For(len(idx), func(j int) { out[j] = xs[idx[j]] })
-	x.Round(len(idx))
-	return out
 }

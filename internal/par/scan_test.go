@@ -16,6 +16,14 @@ func seqExclusiveScan(xs []int) ([]int, int) {
 	return out, s
 }
 
+// tracedPool runs loops on a pool and records their PRAM costs in a tracer.
+type tracedPool struct {
+	*Pool
+	tr *Tracer
+}
+
+func (r tracedPool) Round(work int) { r.tr.Round(work) }
+
 func TestExclusiveScanMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, p := range pools() {
@@ -24,8 +32,7 @@ func TestExclusiveScanMatchesSequential(t *testing.T) {
 			for i := range xs {
 				xs[i] = rng.Intn(100) - 50
 			}
-			var tr Tracer
-			got, total := ExclusiveScan(WithTracer(p, &tr), xs)
+			got, total := ExclusiveScan(tracedPool{p, new(Tracer)}, xs)
 			want, wantTotal := seqExclusiveScan(xs)
 			if total != wantTotal {
 				t.Fatalf("workers=%d n=%d: total = %d, want %d", p.Workers(), n, total, wantTotal)
@@ -35,18 +42,6 @@ func TestExclusiveScanMatchesSequential(t *testing.T) {
 					t.Fatalf("workers=%d n=%d: out[%d] = %d, want %d", p.Workers(), n, i, got[i], want[i])
 				}
 			}
-		}
-	}
-}
-
-func TestInclusiveScan(t *testing.T) {
-	p := NewPool(4)
-	xs := []int{3, -1, 4, 1, 5}
-	got := InclusiveScan(p, xs)
-	want := []int{3, 2, 6, 7, 12}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("out[%d] = %d, want %d", i, got[i], want[i])
 		}
 	}
 }
@@ -84,69 +79,6 @@ func TestScanDoesNotModifyInput(t *testing.T) {
 		if xs[i] != orig[i] {
 			t.Fatal("ExclusiveScan modified its input")
 		}
-	}
-}
-
-func TestCompact(t *testing.T) {
-	for _, p := range pools() {
-		got := Compact(p, 10, func(i int) bool { return i%3 == 0 })
-		want := []int{0, 3, 6, 9}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: Compact = %v, want %v", p.Workers(), got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: Compact = %v, want %v", p.Workers(), got, want)
-			}
-		}
-	}
-}
-
-func TestCompactEmptyAndFull(t *testing.T) {
-	p := NewPool(4)
-	if got := Compact(p, 0, func(int) bool { return true }); len(got) != 0 {
-		t.Fatalf("Compact(0) = %v, want empty", got)
-	}
-	if got := Compact(p, 5, func(int) bool { return false }); len(got) != 0 {
-		t.Fatalf("Compact none = %v, want empty", got)
-	}
-	got := Compact(p, 5, func(int) bool { return true })
-	if len(got) != 5 {
-		t.Fatalf("Compact all = %v, want 0..4", got)
-	}
-}
-
-func TestCompactLargeRandom(t *testing.T) {
-	p := NewPool(0)
-	rng := rand.New(rand.NewSource(7))
-	n := 100000
-	keep := make([]bool, n)
-	for i := range keep {
-		keep[i] = rng.Intn(4) == 0
-	}
-	got := Compact(p, n, func(i int) bool { return keep[i] })
-	var want []int
-	for i := 0; i < n; i++ {
-		if keep[i] {
-			want = append(want, i)
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("len = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-}
-
-func TestCompactSlice(t *testing.T) {
-	p := NewPool(4)
-	xs := []string{"a", "b", "c", "d"}
-	got := CompactSlice(p, xs, func(i int) bool { return i%2 == 1 })
-	if len(got) != 2 || got[0] != "b" || got[1] != "d" {
-		t.Fatalf("CompactSlice = %v, want [b d]", got)
 	}
 }
 

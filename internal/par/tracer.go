@@ -96,18 +96,8 @@ func (t *Tracer) Round(work int) {
 	p.work.Add(int64(work))
 }
 
-// AddWork adds work to the current accounting without starting a new round.
-// Used when a single logical round is implemented as several Go-level loops.
-func (t *Tracer) AddWork(work int) {
-	if t == nil {
-		return
-	}
-	t.work.Add(int64(work))
-	t.phases[t.cur.Load()].work.Add(int64(work))
-}
-
 // BeginPhase closes the current phase's wall-time span and enters p.
-// Subsequent Round/AddWork/barrier-wait attribution lands on p until the next
+// Subsequent Round and barrier-wait attribution lands on p until the next
 // transition. Call BeginPhase(PhaseOther) after a solve to close the last
 // span. A nil receiver is a no-op.
 func (t *Tracer) BeginPhase(p Phase) {

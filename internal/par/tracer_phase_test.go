@@ -13,7 +13,6 @@ func TestTracerPhases(t *testing.T) {
 	tr.BeginPhase(PhasePeel)
 	tr.Round(100)
 	tr.Round(50)
-	tr.AddWork(7)
 	time.Sleep(2 * time.Millisecond)
 	tr.BeginPhase(PhasePromote)
 	tr.Round(10)
@@ -22,12 +21,12 @@ func TestTracerPhases(t *testing.T) {
 	if got := tr.Rounds(); got != 3 {
 		t.Fatalf("rounds = %d, want 3", got)
 	}
-	if got := tr.Work(); got != 167 {
-		t.Fatalf("work = %d, want 167", got)
+	if got := tr.Work(); got != 160 {
+		t.Fatalf("work = %d, want 160", got)
 	}
 	r, w, ns := tr.PhaseStats(PhasePeel)
-	if r != 2 || w != 157 {
-		t.Fatalf("peel = (%d rounds, %d work), want (2, 157)", r, w)
+	if r != 2 || w != 150 {
+		t.Fatalf("peel = (%d rounds, %d work), want (2, 150)", r, w)
 	}
 	if ns <= 0 {
 		t.Fatalf("peel ns = %d, want > 0", ns)

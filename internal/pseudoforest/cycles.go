@@ -2,6 +2,7 @@ package pseudoforest
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/bitmat"
 	"repro/internal/concomp"
@@ -150,3 +151,34 @@ func vertexMarksFromEdges(x par.Runner, n int, edges [][2]int32, onEdge []bool) 
 	x.Round(n)
 	return on
 }
+
+// absorbing returns the successor array with sinks turned into self-loops,
+// the convention par.Double expects.
+func (g *Graph) absorbing() []int32 {
+	a := make([]int32, len(g.Succ))
+	for v, s := range g.Succ {
+		if s < 0 {
+			a[v] = int32(v)
+		} else {
+			a[v] = s
+		}
+	}
+	return a
+}
+
+// UndirectedEdges returns the underlying undirected multigraph edge list:
+// one edge {v, Succ[v]} per non-sink vertex, indexed by source vertex order.
+// EdgeSource[i] records which vertex contributed edge i.
+func (g *Graph) UndirectedEdges() (edges [][2]int32, edgeSource []int32) {
+	for v, s := range g.Succ {
+		if s >= 0 {
+			edges = append(edges, [2]int32{int32(v), s})
+			edgeSource = append(edgeSource, int32(v))
+		}
+	}
+	return edges, edgeSource
+}
+
+// atomicStore1 is the arbitrary-CRCW "any writer wins" idiom: all writers
+// store the same value, realized with an atomic store to stay race-free.
+func atomicStore1(p *uint32) { atomic.StoreUint32(p, 1) }

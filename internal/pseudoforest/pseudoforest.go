@@ -52,33 +52,6 @@ func New(succ []int32) (*Graph, error) {
 // N returns the number of vertices.
 func (g *Graph) N() int { return len(g.Succ) }
 
-// absorbing returns the successor array with sinks turned into self-loops,
-// the convention par.Double expects.
-func (g *Graph) absorbing() []int32 {
-	a := make([]int32, len(g.Succ))
-	for v, s := range g.Succ {
-		if s < 0 {
-			a[v] = int32(v)
-		} else {
-			a[v] = s
-		}
-	}
-	return a
-}
-
-// UndirectedEdges returns the underlying undirected multigraph edge list:
-// one edge {v, Succ[v]} per non-sink vertex, indexed by source vertex order.
-// EdgeSource[i] records which vertex contributed edge i.
-func (g *Graph) UndirectedEdges() (edges [][2]int32, edgeSource []int32) {
-	for v, s := range g.Succ {
-		if s >= 0 {
-			edges = append(edges, [2]int32{int32(v), s})
-			edgeSource = append(edgeSource, int32(v))
-		}
-	}
-	return edges, edgeSource
-}
-
 // Analysis holds the full decomposition of a pseudoforest. Its arrays come
 // from the runner's arena when Analyze ran on an exec.Ctx with one; Release
 // returns them.
@@ -111,7 +84,7 @@ type Analysis struct {
 // The ladder promises exact jumps only for walks that end at or before a
 // sink or a cycle entry, which is all the switching-path queries of §IV
 // ask. A jump further around a cycle may need levels the ladder does not
-// have; par.BuildLifting builds the full table for those.
+// have.
 type Ladder struct {
 	Up [][]int32
 }
@@ -459,7 +432,3 @@ func (a *Analysis) CycleVertices(g *Graph) map[int32][]int32 {
 	}
 	return out
 }
-
-// atomicStore1 is the arbitrary-CRCW "any writer wins" idiom: all writers
-// store the same value, realized with an atomic store to stay race-free.
-func atomicStore1(p *uint32) { atomic.StoreUint32(p, 1) }

@@ -188,7 +188,7 @@ const uploadContentTypes = "text/plain, " + ContentTypeBinary +
 type errUnsupportedMediaType struct{ ct string }
 
 func (e errUnsupportedMediaType) Error() string {
-	return fmt.Sprintf("serve: unsupported Content-Type %q (supported: %s)", e.ct, uploadContentTypes)
+	return fmt.Sprintf("unsupported Content-Type %q (supported: %s)", e.ct, uploadContentTypes)
 }
 
 // acceptsBinary reports whether an Accept header asks for the binary
@@ -543,7 +543,7 @@ func decodeJSON(r *http.Request, v any) error {
 	dec := json.NewDecoder(io.LimitReader(r.Body, maxInstanceBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("serve: invalid request body: %w", err)
+		return fmt.Errorf("invalid request body: %w", err)
 	}
 	return nil
 }

@@ -189,8 +189,8 @@ func TestHTTPErrorMapping(t *testing.T) {
 	if st := h.do("POST", "/v1/solve", "application/json", body, &e); st != http.StatusNotFound {
 		t.Fatalf("unknown instance: %d", st)
 	}
-	if !strings.Contains(e.Error, "unknown instance") {
-		t.Fatalf("error message: %q", e.Error)
+	if want := "unknown instance"; e.Error != want {
+		t.Fatalf("unknown instance error = %q, want %q", e.Error, want)
 	}
 	// Unsupported mode for the instance shape → 422.
 	rng := rand.New(rand.NewSource(5))
@@ -202,6 +202,9 @@ func TestHTTPErrorMapping(t *testing.T) {
 	vbody, _ := json.Marshal(verifyRequest{Instance: ties.ID, PostOf: []int32{0}})
 	if st := h.do("POST", "/v1/verify", "application/json", vbody, &e); st != http.StatusUnprocessableEntity {
 		t.Fatalf("short verify: %d, want 422", st)
+	}
+	if want := "post_of has 1 entries for 10 applicants"; e.Error != want {
+		t.Fatalf("short verify error = %q, want %q", e.Error, want)
 	}
 	// A post off the applicant's list → 422, in the caller's terms (no
 	// internal package name).

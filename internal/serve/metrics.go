@@ -103,14 +103,6 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	return s.metrics.reg.WritePrometheus(w)
 }
 
-// SolveLatency returns a snapshot of the server-side solve-request latency
-// histogram (nanosecond observations): the full duration of Server.Solve
-// calls, cache hits included. The bench harness derives server-side
-// percentiles from it beside the client-observed ones.
-func (s *Server) SolveLatency() obs.HistSnapshot {
-	return s.metrics.reqSolve.Snapshot()
-}
-
 // SolveTraced is Solve for diagnosis: it runs one dedicated kernel solve of
 // the registered instance and fills tr with the per-phase breakdown. Traced
 // requests bypass the result cache in both directions and never share a

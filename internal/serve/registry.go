@@ -9,11 +9,11 @@ import (
 
 // ErrUnknownInstance is returned when a request names an instance id the
 // registry does not hold.
-var ErrUnknownInstance = errors.New("serve: unknown instance")
+var ErrUnknownInstance = errors.New("unknown instance")
 
 // ErrRegistryFull is returned by Add when the registry holds its configured
 // maximum of distinct instances.
-var ErrRegistryFull = errors.New("serve: instance registry is full")
+var ErrRegistryFull = errors.New("instance registry is full")
 
 // Snapshot is one registered instance: an immutable, solver-ready snapshot.
 // Its ID is the instance's content fingerprint, its CSR form is prebuilt at

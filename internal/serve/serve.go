@@ -39,10 +39,10 @@ import (
 
 // ErrOverloaded is returned when admission control refuses a request
 // because too many solves already wait for a slot.
-var ErrOverloaded = errors.New("serve: server overloaded, too many solves waiting")
+var ErrOverloaded = errors.New("server overloaded, too many solves waiting")
 
 // ErrServerClosed is returned for requests submitted after Close.
-var ErrServerClosed = errors.New("serve: server is closed")
+var ErrServerClosed = errors.New("server is closed")
 
 // Outcome is an immutable solve result, shareable between the requests of
 // one flight and cache hits. PostOf uses the instance's raw post ids: entries
@@ -165,7 +165,7 @@ func Open(cfg Config) (*Server, error) {
 	for _, m := range loaded {
 		if _, _, err := s.registry.Add(m.Ins); err != nil {
 			s.Close()
-			return nil, fmt.Errorf("serve: restoring instance from store: %w", err)
+			return nil, fmt.Errorf("restoring instance from store: %w", err)
 		}
 		s.stats.StoreLoaded.Add(1)
 	}
@@ -195,7 +195,7 @@ func (s *Server) Upload(ins *onesided.Instance) (*Snapshot, bool, error) {
 	}
 	if perr := s.store.persist(snap.Ins, snap.ID); perr != nil {
 		s.registry.Evict(snap.ID)
-		return nil, false, fmt.Errorf("serve: persisting instance: %w", perr)
+		return nil, false, fmt.Errorf("persisting instance: %w", perr)
 	}
 	return snap, true, nil
 }
@@ -286,7 +286,7 @@ func (s *Server) Verify(ctx context.Context, id string, postOf []int32) (popular
 		return false, 0, ErrUnknownInstance
 	}
 	if len(postOf) != snap.Applicants {
-		return false, 0, fmt.Errorf("serve: post_of has %d entries for %d applicants", len(postOf), snap.Applicants)
+		return false, 0, fmt.Errorf("post_of has %d entries for %d applicants", len(postOf), snap.Applicants)
 	}
 	// The oracle validates the assignment (capacities, list membership)
 	// before its sweep.

@@ -43,11 +43,11 @@ type Session struct {
 
 // ErrUnknownSession is returned when a request names a session id the server
 // does not hold.
-var ErrUnknownSession = errors.New("serve: unknown session")
+var ErrUnknownSession = errors.New("unknown session")
 
 // ErrTooManySessions is returned by CreateSession when the server holds its
 // configured maximum of live sessions.
-var ErrTooManySessions = errors.New("serve: too many live sessions")
+var ErrTooManySessions = errors.New("too many live sessions")
 
 // sessionTable is the id-keyed store of live sessions.
 type sessionTable struct {
@@ -169,7 +169,7 @@ func (s *Server) CreateSession(instanceID string) (SessionInfo, error) {
 	}
 	var raw [12]byte
 	if _, err := rand.Read(raw[:]); err != nil {
-		return SessionInfo{}, fmt.Errorf("serve: session id: %w", err)
+		return SessionInfo{}, fmt.Errorf("session id: %w", err)
 	}
 	ins := snap.Ins.Clone()
 	ins.CSR() // prewarm so the first mutation patches rather than builds
@@ -233,7 +233,7 @@ func (s *Server) MutateSession(id string, muts []Mutation) (SessionInfo, []Mutat
 	for i, m := range muts {
 		r, err := applyMutation(sess.ins, m)
 		if err != nil {
-			return sess.info(), results, fmt.Errorf("serve: mutation %d (%s): %w", i, m.Op, err)
+			return sess.info(), results, fmt.Errorf("mutation %d (%s): %w", i, m.Op, err)
 		}
 		sess.mutations++
 		results = append(results, r)
@@ -266,7 +266,7 @@ func applyMutation(ins *onesided.Instance, m Mutation) (MutationResult, error) {
 		}
 		return MutationResult{Op: m.Op, Applicant: -1}, nil
 	default:
-		return MutationResult{}, fmt.Errorf("serve: unknown mutation op %q (valid: set_preferences, add_applicant, remove_applicant, set_capacity)", m.Op)
+		return MutationResult{}, fmt.Errorf("unknown mutation op %q (valid: set_preferences, add_applicant, remove_applicant, set_capacity)", m.Op)
 	}
 }
 

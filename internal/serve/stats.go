@@ -75,10 +75,3 @@ func (st *Stats) snapshotInto(m map[string]int64) {
 	m["uploads_binary"] = st.UploadsBinary.Load()
 	m["store_loaded"] = st.StoreLoaded.Load()
 }
-
-// Snapshot returns the counters as a flat map, ready for JSON encoding.
-func (st *Stats) Snapshot() map[string]int64 {
-	m := make(map[string]int64, 20)
-	st.snapshotInto(m)
-	return m
-}

@@ -40,16 +40,16 @@ const tmpPrefix = ".tmp-"
 // the temp files of persists a crash interrupted.
 func openDiskStore(dir string) (*diskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("serve: opening instance store: %w", err)
+		return nil, fmt.Errorf("opening instance store: %w", err)
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("serve: reading instance store: %w", err)
+		return nil, fmt.Errorf("reading instance store: %w", err)
 	}
 	for _, e := range entries {
 		if strings.HasPrefix(e.Name(), tmpPrefix) {
 			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
-				return nil, fmt.Errorf("serve: removing orphaned store file: %w", err)
+				return nil, fmt.Errorf("removing orphaned store file: %w", err)
 			}
 		}
 	}
@@ -67,7 +67,7 @@ func (d *diskStore) path(id string) string {
 func (d *diskStore) loadAll() ([]*onesided.MappedInstance, error) {
 	entries, err := os.ReadDir(d.dir)
 	if err != nil {
-		return nil, fmt.Errorf("serve: reading instance store: %w", err)
+		return nil, fmt.Errorf("reading instance store: %w", err)
 	}
 	var out []*onesided.MappedInstance
 	for _, e := range entries {
@@ -79,7 +79,7 @@ func (d *diskStore) loadAll() ([]*onesided.MappedInstance, error) {
 			for _, prev := range out {
 				prev.Close()
 			}
-			return nil, fmt.Errorf("serve: instance store file %s: %w", e.Name(), err)
+			return nil, fmt.Errorf("instance store file %s: %w", e.Name(), err)
 		}
 		out = append(out, m)
 	}

@@ -44,23 +44,20 @@ type Ring struct {
 // errors.
 func NewRing(shards []string) (*Ring, error) {
 	if len(shards) == 0 {
-		return nil, fmt.Errorf("shard: ring needs at least one shard")
+		return nil, fmt.Errorf("ring needs at least one shard")
 	}
 	seen := make(map[string]bool, len(shards))
 	for _, s := range shards {
 		if s == "" {
-			return nil, fmt.Errorf("shard: empty shard name")
+			return nil, fmt.Errorf("empty shard name")
 		}
 		if seen[s] {
-			return nil, fmt.Errorf("shard: duplicate shard %q", s)
+			return nil, fmt.Errorf("duplicate shard %q", s)
 		}
 		seen[s] = true
 	}
 	return &Ring{shards: append([]string(nil), shards...)}, nil
 }
-
-// Shards returns the ring's shard names in configuration order.
-func (r *Ring) Shards() []string { return append([]string(nil), r.shards...) }
 
 // Len reports the number of shards.
 func (r *Ring) Len() int { return len(r.shards) }
@@ -77,22 +74,10 @@ func score(shardName, key string) uint64 {
 	return h.Sum64()
 }
 
-// Owner returns the shard owning key: the highest-scoring shard, with the
-// name ordering breaking (astronomically unlikely) score ties so the choice
-// stays deterministic.
-func (r *Ring) Owner(key string) string {
-	best := r.shards[0]
-	bestScore := score(best, key)
-	for _, s := range r.shards[1:] {
-		if sc := score(s, key); sc > bestScore || (sc == bestScore && s < best) {
-			best, bestScore = s, sc
-		}
-	}
-	return best
-}
-
 // Replicas returns the top-n shards for key in descending score order; the
-// first entry is Owner(key). n is clamped to the shard count, so
+// first entry is the key's owner, the highest-scoring shard (the name
+// ordering breaks astronomically unlikely score ties, so the choice stays
+// deterministic). n is clamped to the shard count, so
 // Replicas(key, Len()) is a full deterministic permutation of the shards —
 // the router walks it as a failover order.
 func (r *Ring) Replicas(key string, n int) []string {

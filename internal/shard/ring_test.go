@@ -27,6 +27,9 @@ func ringOf(t *testing.T, shards ...string) *Ring {
 	return r
 }
 
+// owner is the shard owning key: the first of its replicas.
+func owner(r *Ring, key string) string { return r.Replicas(key, 1)[0] }
+
 func TestNewRingRejectsBadConfigs(t *testing.T) {
 	if _, err := NewRing(nil); err == nil {
 		t.Fatal("empty ring accepted")
@@ -49,7 +52,7 @@ func TestRingBalance(t *testing.T) {
 	keys := fingerprints(perShard * len(shards))
 	counts := make(map[string]int, len(shards))
 	for _, k := range keys {
-		counts[ring.Owner(k)]++
+		counts[owner(ring, k)]++
 	}
 	for _, s := range shards {
 		got := counts[s]
@@ -71,7 +74,7 @@ func TestRingDeterministicPlacement(t *testing.T) {
 	b := ringOf(t, shards...)   // fresh ring, same config: a restart
 	c := ringOf(t, reversed...) // same shard set, different config order
 	for _, k := range fingerprints(2000) {
-		if ao, bo, co := a.Owner(k), b.Owner(k), c.Owner(k); ao != bo || ao != co {
+		if ao, bo, co := owner(a, k), owner(b, k), owner(c, k); ao != bo || ao != co {
 			t.Fatalf("owner of %s differs across identically-configured rings: %s / %s / %s", k, ao, bo, co)
 		}
 		ar, cr := a.Replicas(k, 3), c.Replicas(k, 3)
@@ -96,7 +99,7 @@ func TestRingBoundedReassignment(t *testing.T) {
 
 	moved := 0
 	for _, k := range keys {
-		oldOwner, newOwner := before.Owner(k), after.Owner(k)
+		oldOwner, newOwner := owner(before, k), owner(after, k)
 		if oldOwner != newOwner {
 			moved++
 			if newOwner != "http://s4:8080" {
@@ -114,12 +117,12 @@ func TestRingBoundedReassignment(t *testing.T) {
 	// Shrink: removing s4 must move exactly the keys s4 owned, back to their
 	// pre-grow owners (grow then shrink is an identity).
 	for _, k := range keys {
-		shrunkOwner := before.Owner(k)
-		if after.Owner(k) == "http://s4:8080" {
+		shrunkOwner := owner(before, k)
+		if owner(after, k) == "http://s4:8080" {
 			continue // these must move somewhere on removal; owner re-derived below
 		}
-		if after.Owner(k) != shrunkOwner {
-			t.Fatalf("key %s not owned by s4 changed owner on shrink: %s -> %s", k, after.Owner(k), shrunkOwner)
+		if owner(after, k) != shrunkOwner {
+			t.Fatalf("key %s not owned by s4 changed owner on shrink: %s -> %s", k, owner(after, k), shrunkOwner)
 		}
 	}
 }
@@ -133,8 +136,8 @@ func TestRingReplicas(t *testing.T) {
 		if len(reps) != 2 {
 			t.Fatalf("want 2 replicas, got %v", reps)
 		}
-		if reps[0] != ring.Owner(k) {
-			t.Fatalf("first replica %s is not the owner %s", reps[0], ring.Owner(k))
+		if reps[0] != owner(ring, k) {
+			t.Fatalf("first replica %s is not the owner %s", reps[0], owner(ring, k))
 		}
 		if reps[0] == reps[1] {
 			t.Fatalf("duplicate replica: %v", reps)
@@ -142,7 +145,7 @@ func TestRingReplicas(t *testing.T) {
 		if all := ring.Replicas(k, 99); len(all) != 3 {
 			t.Fatalf("over-asked replicas not clamped: %v", all)
 		}
-		if one := ring.Replicas(k, 0); len(one) != 1 || one[0] != ring.Owner(k) {
+		if one := ring.Replicas(k, 0); len(one) != 1 || one[0] != owner(ring, k) {
 			t.Fatalf("n<=0 must yield just the owner, got %v", one)
 		}
 	}
@@ -153,7 +156,7 @@ func TestRingReplicas(t *testing.T) {
 func TestRingSingleShard(t *testing.T) {
 	ring := ringOf(t, "only")
 	for _, k := range fingerprints(50) {
-		if ring.Owner(k) != "only" {
+		if owner(ring, k) != "only" {
 			t.Fatal("single-shard ring routed a key elsewhere")
 		}
 	}

@@ -145,17 +145,17 @@ type shardState struct {
 func NormalizeShardURL(s string) (base, label string, err error) {
 	s = strings.TrimRight(strings.TrimSpace(s), "/")
 	if s == "" {
-		return "", "", fmt.Errorf("shard: empty shard URL")
+		return "", "", fmt.Errorf("empty shard URL")
 	}
 	if !strings.Contains(s, "://") {
 		s = "http://" + s
 	}
 	u, err := url.Parse(s)
 	if err != nil || u.Host == "" {
-		return "", "", fmt.Errorf("shard: invalid shard URL %q", s)
+		return "", "", fmt.Errorf("invalid shard URL %q", s)
 	}
 	if u.Path != "" || u.RawQuery != "" {
-		return "", "", fmt.Errorf("shard: shard URL %q must be a bare base URL", s)
+		return "", "", fmt.Errorf("shard URL %q must be a bare base URL", s)
 	}
 	return u.Scheme + "://" + u.Host, u.Host, nil
 }
@@ -172,7 +172,7 @@ func NewRouter(cfg Config) (*Router, error) {
 			return nil, err
 		}
 		if _, dup := states[base]; dup {
-			return nil, fmt.Errorf("shard: duplicate shard %q", base)
+			return nil, fmt.Errorf("duplicate shard %q", base)
 		}
 		st := &shardState{name: base, label: label}
 		st.healthy.Store(true)
@@ -218,11 +218,6 @@ func (rt *Router) Close() {
 		tr.CloseIdleConnections()
 	}
 }
-
-// Owner returns the base URL of the shard owning key — the first element of
-// the key's replica order. The bench harness uses it to solve directly
-// against the owning shard for the bit-identical check.
-func (rt *Router) Owner(key string) string { return rt.ring.Owner(key) }
 
 // Shards returns the shard base URLs in configuration order.
 func (rt *Router) Shards() []string { return append([]string(nil), rt.order...) }
@@ -353,7 +348,7 @@ func copyHeaders(dst, src http.Header) {
 
 // errAllShardsSaturated is the load-shed outcome; the handler turns it into
 // a 429 with Retry-After.
-var errAllShardsSaturated = errors.New("shard: all replicas at max in-flight, retry later")
+var errAllShardsSaturated = errors.New("all replicas at max in-flight, retry later")
 
 // proxyTo relays the request to the first usable candidate, replaying the
 // buffered body on connection failure against the next one when retry is
@@ -387,9 +382,9 @@ func (rt *Router) proxyTo(w http.ResponseWriter, r *http.Request, cands []*shard
 			break
 		}
 	}
-	err := errors.New("shard: no shard could serve the request")
+	err := errors.New("no shard could serve the request")
 	if lastErr != nil {
-		err = fmt.Errorf("shard: upstream unreachable: %v", lastErr)
+		err = fmt.Errorf("upstream unreachable: %v", lastErr)
 	}
 	rt.writeError(w, r, http.StatusBadGateway, err)
 }
@@ -517,10 +512,10 @@ func instanceKey(body []byte) (string, error) {
 		Instance string `json:"instance"`
 	}
 	if err := json.Unmarshal(body, &req); err != nil {
-		return "", fmt.Errorf("shard: invalid request body: %w", err)
+		return "", fmt.Errorf("invalid request body: %w", err)
 	}
 	if req.Instance == "" {
-		return "", fmt.Errorf("shard: request body missing \"instance\"")
+		return "", fmt.Errorf("request body missing \"instance\"")
 	}
 	return req.Instance, nil
 }
@@ -601,7 +596,7 @@ func NewHandler(rt *Router) http.Handler {
 			id := r.PathValue("id")
 			st, ok := rt.sessionShard(r.Context(), id)
 			if !ok {
-				rt.writeError(w, r, http.StatusNotFound, fmt.Errorf("shard: unknown session %q", id))
+				rt.writeError(w, r, http.StatusNotFound, fmt.Errorf("unknown session %q", id))
 				return
 			}
 			body, err := readBody(w, r)
@@ -621,7 +616,7 @@ func NewHandler(rt *Router) http.Handler {
 		id := r.PathValue("id")
 		st, ok := rt.sessionShard(r.Context(), id)
 		if !ok {
-			rt.writeError(w, r, http.StatusNotFound, fmt.Errorf("shard: unknown session %q", id))
+			rt.writeError(w, r, http.StatusNotFound, fmt.Errorf("unknown session %q", id))
 			return
 		}
 		rt.sessions.Delete(id)
@@ -741,7 +736,7 @@ func (rt *Router) fanWrite(w http.ResponseWriter, r *http.Request, key string, b
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(rt.cfg.RetryAfter)))
 		rt.writeError(w, r, http.StatusTooManyRequests, errAllShardsSaturated)
 	default:
-		rt.writeError(w, r, http.StatusBadGateway, fmt.Errorf("shard: upstream unreachable: %v", lastErr))
+		rt.writeError(w, r, http.StatusBadGateway, fmt.Errorf("upstream unreachable: %v", lastErr))
 	}
 }
 
@@ -868,7 +863,7 @@ func (rt *Router) mergeLists(w http.ResponseWriter, r *http.Request, path string
 		}
 	}
 	if len(merged) == 0 && firstErr != nil && rt.healthyCount() == 0 {
-		rt.writeError(w, r, http.StatusBadGateway, fmt.Errorf("shard: upstream unreachable: %v", firstErr))
+		rt.writeError(w, r, http.StatusBadGateway, fmt.Errorf("upstream unreachable: %v", firstErr))
 		return
 	}
 	writeJSON(w, http.StatusOK, merged)

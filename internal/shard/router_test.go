@@ -140,7 +140,7 @@ func TestRouterEndToEnd(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		ins := onesided.Solvable(rng, 50, 15, 4)
 		info := f.upload(ins)
-		owners[info.ID] = f.router.Owner(info.ID)
+		owners[info.ID] = owner(f.router.ring, info.ID)
 
 		// Shared-nothing placement: the owner holds it, the other shard not.
 		for _, u := range f.urls {
@@ -646,7 +646,11 @@ func TestRouterMissingInstanceKey(t *testing.T) {
 			t.Errorf("body %q: status %d, want 400", body, st)
 		}
 	}
-	if st, _ := f.do("GET", "/v1/sessions/nope", "", nil, nil); st != http.StatusNotFound {
+	var e errorResponse
+	if st, _ := f.do("GET", "/v1/sessions/nope", "", nil, &e); st != http.StatusNotFound {
 		t.Error("unknown session not 404")
+	}
+	if want := `unknown session "nope"`; e.Error != want {
+		t.Errorf("unknown session error = %q, want %q", e.Error, want)
 	}
 }
