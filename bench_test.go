@@ -256,13 +256,17 @@ func solvableUniformInstance(rng *rand.Rand, n int, b *testing.B) *onesided.Inst
 // --- supporting micro-benchmarks: the ties solver and the oracle ---
 
 func BenchmarkSolveTies(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	ins := onesided.RandomTies(rng, 300, 260, 2, 7, 0.35)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.SolveRequest(ins, core.Request{Mode: core.ModeTiesMax}, core.Options{}); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range []int{300, 10_000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(9))
+			ins := onesided.RandomTies(rng, n, n*13/15, 2, 7, 0.35)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.SolveRequest(ins, core.Request{Mode: core.ModeTiesMax}, core.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -176,6 +176,11 @@ func TestCLIRejectsBadFlags(t *testing.T) {
 	if err == nil || !strings.HasPrefix(out, "popmatch: applicant 0 lists out-of-range post 5\n") {
 		t.Fatalf("out-of-range post: err %v, output %q", err, out)
 	}
+	// And a mode the instance's shape rules out: popular on tied lists.
+	out, err = runTool(t, "posts 2\na0: (p0 p1)\na1: p0\n", "./cmd/popmatch", "-mode", "popular")
+	if err == nil || !strings.HasPrefix(out, "popmatch: Algorithm 1 requires strictly-ordered preference lists\n") {
+		t.Fatalf("popular on tied lists: err %v, output %q", err, out)
+	}
 	// Out-of-range sizes exit non-zero with a message, never a panic.
 	for _, args := range [][]string{
 		{"./cmd/stablenext", "-n", "-3"},

@@ -22,8 +22,8 @@
 // cancellation, result recycling) exists once. The engine lives on the
 // solve session's arena and owns an arena-resident kernel per path: the
 // strict kernel (prebound loop closures over the CSR), the §V ties kernel
-// (pooled rank-one graph, Hopcroft–Karp/EOU scratch, flat weight table,
-// Hungarian working arrays), a clone expansion cached per instance, and a
+// (pooled rank-one graph G1 and pruned graph G′, Hopcroft–Karp/EOU scratch
+// and the augmenting matching), a clone expansion cached per instance, and a
 // pooled big.Int allocator for the positional-profile weights — so a
 // reused Solver's SolveRequestInto reaches zero (strict, ties) or
 // near-zero (capacitated, weighted) steady-state allocations in every

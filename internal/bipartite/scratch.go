@@ -68,9 +68,8 @@ type Scratch struct {
 
 // HopcroftKarpScratch computes a maximum-cardinality matching in
 // O(E sqrt(V)): matchL[l] is the right partner of l or -1, and matchR is the
-// inverse. Cancellation is checked at every BFS/DFS phase boundary (there
-// are O(sqrt(V)) phases), and each phase is accounted as one round of O(E)
-// work in the tracer; a nil cx does neither. Every working array, and the
+// inverse. It seeds a greedy matching and grows it with Augment, so
+// cancellation and tracing are Augment's. Every working array, and the
 // returned matchL/matchR, is drawn from the Scratch, which owns the
 // returned slices.
 func (s *Scratch) HopcroftKarpScratch(cx *exec.Ctx, g *Graph) (matchL, matchR []int32, size int) {
@@ -93,6 +92,19 @@ func (s *Scratch) HopcroftKarpScratch(cx *exec.Ctx, g *Graph) (matchL, matchR []
 			}
 		}
 	}
+	return matchL, matchR, s.Augment(cx, g, matchL, matchR, size)
+}
+
+// Augment grows the caller's matching (matchL, matchR) of g, of the given
+// size, to a maximum matching along shortest augmenting paths
+// (Hopcroft–Karp phases), in place, and returns the new size. matchL must
+// have g.NLeft entries and matchR at least g.NRight, with -1 marking an
+// unmatched vertex. Augmenting never unmatches a vertex: every vertex the
+// input matching covers is covered by the result. Cancellation is checked
+// at every BFS/DFS phase boundary (there are O(sqrt(V)) phases), and each
+// phase is accounted as one round of O(E) work in the tracer; a nil cx
+// does neither. The working arrays are drawn from the Scratch.
+func (s *Scratch) Augment(cx *exec.Ctx, g *Graph, matchL, matchR []int32, size int) int {
 	dist := exec.Grow(&s.dist, g.NLeft)
 	queue := exec.Grow(&s.queue, g.NLeft)[:0]
 	bfs := func() bool {
@@ -148,7 +160,7 @@ func (s *Scratch) HopcroftKarpScratch(cx *exec.Ctx, g *Graph) (matchL, matchR []
 		}
 	}
 	s.queue = queue[:0]
-	return matchL, matchR, size
+	return size
 }
 
 type eouNode struct {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/onesided"
@@ -243,8 +244,14 @@ func TestPeelingHandlesLastResortChains(t *testing.T) {
 	}
 }
 
-// TestHugeInstanceSmoke pushes Algorithm 1 through a million applicants to
-// catch quadratic blowups and overflow issues.
+// TestHugeInstanceSmoke pushes the engine through large instances to catch
+// quadratic blowups and overflow issues: Algorithm 1 at a million
+// applicants, and the §V ties path (ties, tiesmax, and capacitated popular on
+// the clone expansion) at 10⁵ applicants. The ties path is linear in the
+// edge count, so each of those solves, the expansion included, may allocate
+// at most tiesBytesPerEdge bytes per edge of the instance it solved (the
+// clone expansion for the capacitated case); a dense n₁ × (n₂+n₁) int64
+// table would need 2·10⁵ to 4·10⁵ bytes per edge here.
 func TestHugeInstanceSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large smoke test")
@@ -263,5 +270,53 @@ func TestHugeInstanceSmoke(t *testing.T) {
 	bound := par.Iterations(ins.NumApplicants+ins.TotalPosts()) + 1
 	if res.Peel.Rounds > bound {
 		t.Fatalf("Lemma 2 violated at scale: %d > %d", res.Peel.Rounds, bound)
+	}
+
+	const n, tiesBytesPerEdge = 100_000, 256
+	for _, tc := range []struct {
+		name string
+		ins  *onesided.Instance
+		mode Mode
+	}{
+		{"ties", onesided.RandomTies(rng, n, n, 2, 6, 0.3), ModeTies},
+		{"tiesmax", onesided.RandomTies(rng, n, n, 2, 6, 0.3), ModeTiesMax},
+		{"capacitated", onesided.RandomCapacitated(rng, n, n/2, 2, 6, 3), ModePopular},
+	} {
+		tc.ins.CSR()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := SolveRequest(tc.ins, Request{Mode: tc.mode}, Options{})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !res.Exists {
+			t.Fatalf("%s: no popular matching", tc.name)
+		}
+		solved := tc.ins
+		if tc.ins.Capacities != nil {
+			exp, err := tc.ins.Expanded()
+			if err != nil {
+				t.Fatal(err)
+			}
+			solved = exp.Unit
+			if err := res.Assignment.Validate(tc.ins); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+		if !res.Matching.ApplicantComplete() {
+			t.Fatalf("%s: matching is not applicant-complete", tc.name)
+		}
+		if err := res.Matching.Validate(solved); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		edges := len(solved.CSR().Post)
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: %d edges, %d bytes allocated (%.0f per edge)", tc.name, edges, got, float64(got)/float64(edges))
+		if got > uint64(tiesBytesPerEdge*edges) {
+			t.Errorf("%s: solve allocated %d bytes for %d edges, want <= %d per edge",
+				tc.name, got, edges, tiesBytesPerEdge)
+		}
 	}
 }

@@ -46,8 +46,6 @@ type Request struct {
 //   - Peel/Promotions report Algorithm 1/2 statistics when the strict kernel
 //     ran (Peel.Valid false otherwise); Switch reports the §IV switching
 //     optimizer's work for the optimal modes.
-//   - Rank1Size/MaxRank1 report the §V lexicographic quantities when the
-//     ties solver ran.
 type Outcome struct {
 	Matching   *onesided.Matching
 	Assignment *onesided.Assignment
@@ -55,9 +53,6 @@ type Outcome struct {
 	Peel       PeelStats
 	Promotions int
 	Switch     SwitchStats
-	// Rank1Size is |M ∩ E1| and MaxRank1 the maximum matching size of the
-	// rank-one graph G1 (ties path only; zero otherwise).
-	Rank1Size, MaxRank1 int
 }
 
 // engine is the mode-dispatched solve engine. One engine bundles every
@@ -77,7 +72,6 @@ type engine struct {
 func newEngine() *engine {
 	e := &engine{}
 	e.k.init()
-	e.ties.init()
 	return e
 }
 
@@ -111,7 +105,7 @@ func SolveRequest(ins *onesided.Instance, req Request, opt Options) (out Outcome
 // strictness.
 func (e *engine) solve(cx *exec.Ctx, ins *onesided.Instance, req Request) (Outcome, error) {
 	if !req.Mode.Valid() {
-		return Outcome{}, fmt.Errorf("core: invalid mode %s", req.Mode)
+		return Outcome{}, fmt.Errorf("invalid mode %s", req.Mode)
 	}
 	switch req.Mode {
 	case ModePopular, ModeMaxCard, ModeTies, ModeTiesMax:
@@ -123,7 +117,7 @@ func (e *engine) solve(cx *exec.Ctx, ins *onesided.Instance, req Request) (Outco
 			return e.solveCapacitated(cx, ins, maxcard, req.Into)
 		}
 		if req.Mode == ModeTies || req.Mode == ModeTiesMax {
-			return e.solveTies(cx, ins, maxcard, req.Into)
+			return e.solveTies(cx, ins, req.Into)
 		}
 		// ModePopular/ModeMaxCard on plain instances keep Algorithm 1/3's
 		// strict-lists contract: tied lists are rejected (callers pick the
@@ -162,7 +156,7 @@ func (e *engine) solve(cx *exec.Ctx, ins *onesided.Instance, req Request) (Outco
 // wrong answers.
 func requireUnitMode(ins *onesided.Instance, m Mode) error {
 	if !ins.UnitCapacity() {
-		return fmt.Errorf("core: mode %s does not support capacitated instances", m)
+		return fmt.Errorf("mode %s does not support capacitated instances", m)
 	}
 	return nil
 }
@@ -201,7 +195,7 @@ func (e *engine) buildReduced(cx *exec.Ctx, ins *onesided.Instance) (*Reduced, e
 	cx.Phase(par.PhaseValidate)
 	c := ins.CSR()
 	if !c.Strict() {
-		return nil, fmt.Errorf("core: Algorithm 1 requires strictly-ordered preference lists")
+		return nil, errTiedLists
 	}
 	cx.Phase(par.PhaseBuildReduced)
 	k := &e.k
@@ -313,15 +307,16 @@ func (e *engine) fair(cx *exec.Ctx, ins *onesided.Instance, into *onesided.Match
 // instance, so repeat solves skip it. Unit-capacity vectors bypass the
 // reduction and run the unit path for their strictness (Algorithm 1 or 3,
 // or the ties kernel), so they return the same matching as an instance
-// without a vector; maximizeCardinality maximizes the number of applicants
-// on real posts among popular assignments.
+// without a vector; maximizeCardinality picks Algorithm 3 for a strict one.
+// The ties kernel always maximizes the number of applicants on real posts
+// among popular assignments.
 func (e *engine) solveCapacitated(cx *exec.Ctx, ins *onesided.Instance, maximizeCardinality bool, into *onesided.Matching) (Outcome, error) {
 	if ins.UnitCapacity() {
 		var out Outcome
 		var err error
 		switch {
 		case !ins.CSR().Strict():
-			out, err = e.solveTies(cx, ins, maximizeCardinality, into)
+			out, err = e.solveTies(cx, ins, into)
 		case maximizeCardinality:
 			out, err = e.optimize(cx, ins, cardinalityWeights(ins), true, into)
 		default:
@@ -342,7 +337,7 @@ func (e *engine) solveCapacitated(cx *exec.Ctx, ins *onesided.Instance, maximize
 	if err != nil {
 		return Outcome{}, err
 	}
-	out, err := e.solveTies(cx, exp.Unit, maximizeCardinality, into)
+	out, err := e.solveTies(cx, exp.Unit, into)
 	if err != nil || !out.Exists {
 		return out, err
 	}

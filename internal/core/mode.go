@@ -18,8 +18,10 @@ const (
 	// the same strictness and capacity routing as ModePopular).
 	ModeMaxCard
 	// ModeTies runs the §V ties solver directly (valid for strict lists too).
+	// Its popular matching also has maximum cardinality.
 	ModeTies
-	// ModeTiesMax is ModeTies maximizing cardinality.
+	// ModeTiesMax is ModeTies: the same solver, which already maximizes
+	// cardinality.
 	ModeTiesMax
 	// ModeMaxWeight finds a maximum-weight popular matching (§IV-E). A nil
 	// Request.Weights selects the built-in cardinality weights (1 per real

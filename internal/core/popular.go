@@ -74,7 +74,7 @@ func VerifyPopular(ins *onesided.Instance, m *onesided.Matching, opt Options) (e
 		return err
 	}
 	if !m.ApplicantComplete() {
-		return fmt.Errorf("core: matching is not applicant-complete")
+		return errors.New("matching is not applicant-complete")
 	}
 	r, err := BuildReduced(ins, opt)
 	if err != nil {
@@ -96,10 +96,10 @@ func VerifyPopular(ins *onesided.Instance, m *onesided.Matching, opt Options) (e
 	})
 	cx.Round(ins.NumApplicants)
 	if q := iViolation.Load(); q != 0 {
-		return fmt.Errorf("core: f-post %d unmatched (Theorem 1(i))", q-1)
+		return fmt.Errorf("f-post %d unmatched (Theorem 1(i))", q-1)
 	}
 	if a := iiViolation.Load(); a != 0 {
-		return fmt.Errorf("core: applicant %d not matched to f(a) or s(a) (Theorem 1(ii))", a-1)
+		return fmt.Errorf("applicant %d not matched to f(a) or s(a) (Theorem 1(ii))", a-1)
 	}
 	return nil
 }

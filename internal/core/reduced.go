@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"errors"
 	"sync/atomic"
 
 	"repro/internal/exec"
@@ -56,7 +56,7 @@ func (r *Reduced) release(cx *exec.Ctx) {
 func BuildReduced(ins *onesided.Instance, opt Options) (r *Reduced, err error) {
 	c := ins.CSR()
 	if !c.Strict() {
-		return nil, fmt.Errorf("core: Algorithm 1 requires strictly-ordered preference lists")
+		return nil, errTiedLists
 	}
 	defer exec.CatchCancel(&err)
 	cx := opt.exec()
@@ -65,6 +65,9 @@ func BuildReduced(ins *onesided.Instance, opt Options) (r *Reduced, err error) {
 	k.buildReduced()
 	return &k.red, nil
 }
+
+// errTiedLists rejects an instance with ties on Algorithm 1's paths.
+var errTiedLists = errors.New("Algorithm 1 requires strictly-ordered preference lists")
 
 // FInv returns the applicants whose first choice is post q.
 func (r *Reduced) FInv(q int32) []int32 {

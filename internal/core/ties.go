@@ -23,10 +23,16 @@ import (
 // even/odd/unreachable decomposition of G1 relative to a maximum matching
 // (last resorts are isolated in G1, hence always even, so s(a) ≠ ∅).
 //
-// Finding such an M is a lexicographic matching problem on the reduced edge
-// set E′ = {(a,p): p ∈ f(a) ∪ s(a)}: among applicant-complete matchings in
-// E′ (all of size n1), maximize |M ∩ E1|. A popular matching exists iff the
-// optimum reaches |maximum matching of G1|.
+// AIKM's algorithm finds such an M without weights, in O(√n·m) time and
+// linear space. Take a maximum matching M1 of G1 and its EOU labels. G′
+// keeps the f-edges that some maximum matching of G1 can use (none joins an
+// odd vertex to an odd or unreachable one) and gives only the even
+// applicants their s-edges, since every maximum matching of G1 matches the
+// odd and unreachable ones along E1. Augmenting M1 to a maximum matching of
+// G′ never unmatches a vertex, so M ∩ E1 stays maximum, and a popular
+// matching exists iff the result is applicant-complete. Augmenting first
+// without the last-resort edges maximizes the applicants on real posts, so
+// the result is also a maximum-cardinality popular matching.
 //
 // The implementation lives in tieskernel.go as an arena-resident kernel on
 // the unified engine (ModeTies and ModeTiesMax).
@@ -66,7 +72,7 @@ func MaxMatchingViaPopular(g *bipartite.Graph, opt Options) (matchL []int32, siz
 	}
 	ins, err := onesided.NewWithTies(g.NRight, lists, ranks)
 	if err != nil {
-		return nil, 0, fmt.Errorf("core: reduction instance invalid: %w", err)
+		return nil, 0, fmt.Errorf("reduction instance invalid: %w", err)
 	}
 	res, err := SolveRequest(ins, Request{Mode: ModeTiesMax}, opt)
 	if err != nil {

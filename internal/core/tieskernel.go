@@ -3,184 +3,62 @@ package core
 import (
 	"repro/internal/bipartite"
 	"repro/internal/exec"
-	"repro/internal/hungarian"
 	"repro/internal/onesided"
-	"repro/internal/par"
 )
 
 // The §V ties path as an arena-resident kernel, mirroring the memory
-// discipline of the strict kernel (kernel.go): every buffer the solve needs —
-// the rank-one graph G1 and its Hopcroft–Karp/EOU scratch, the flat
-// lexicographic weight table, and the Hungarian working arrays — lives on
-// the engine and is recycled across solves, so a reused solver's ties (and
-// hence capacitated) solves stop rebuilding a bipartite.Graph and
-// re-make-ing the O(n·total) weight rows on every call. The computation is
-// exactly the one documented in ties.go; only the memory discipline
-// changes, and the results are bit-identical.
+// discipline of the strict kernel (kernel.go): the rank-one graph G1, the
+// pruned graph G′, their Hopcroft–Karp/EOU scratch and the working matching
+// live on the engine and are recycled across solves, so a reused solver's
+// ties (and hence capacitated) solves reach a zero-allocation steady state.
+// The algorithm is documented in ties.go.
 type tiesKernel struct {
-	gb   bipartite.Builder
-	bs   bipartite.Scratch
-	hung hungarian.Scratch
-
-	evenPost []bool
-	w        []int64 // flat n1 × total weight table
-
-	// Per-solve bindings of the prebound loop bodies (weight probe, even
-	// labelling, weight-row fill). Cleared at the end of each solve so a
-	// pooled engine pins none of the request's data.
-	cx         *exec.Ctx
-	total      int
-	probes     int
-	ins        *onesided.Instance
-	c          *onesided.CSR
-	rightLabel []bipartite.Label
-	nPosts     int
-	maxCard    bool
-	wTop       int64 // the lexicographic W = n1+1 weight of rank-one edges
-
-	fnWeight   func(i, j int) int64
-	fnEvenPost func(p int)
-	fnFillRow  func(a int)
+	g1, gp         bipartite.Builder
+	bs             bipartite.Scratch
+	matchL, matchR []int32
 }
 
-// init binds the Hungarian weight probe once; it captures only the kernel
-// pointer, so repeat solves allocate no closures. The probe checks the
-// context every few thousand lookups — the Hungarian assignment dominates
-// the ties path (O(n³)), and this keeps it cancellable without measurable
-// overhead.
-func (tk *tiesKernel) init() {
-	tk.fnWeight = func(i, j int) int64 {
-		tk.probes++
-		if tk.probes&0xfff == 0 {
-			tk.cx.Check()
-		}
-		return tk.w[i*tk.total+j]
-	}
-	// Even posts over all ids; last resorts are isolated in G1, hence even.
-	tk.fnEvenPost = func(p int) {
-		if p < tk.nPosts {
-			tk.evenPost[p] = tk.rightLabel[p] == bipartite.Even
-		} else {
-			tk.evenPost[p] = true
-		}
-	}
-	// One weight-table row: the E′ = f-edges ∪ s-edges construction for
-	// applicant a. Rows are disjoint and the body reads only immutable
-	// per-solve data (CSR, evenPost), so rows fill in parallel.
-	tk.fnFillRow = func(a int) {
-		const forb = hungarian.Forbidden
-		c, ins, total := tk.c, tk.ins, tk.total
-		row := tk.w[a*total : (a+1)*total]
-		for j := range row {
-			row[j] = forb
-		}
-		lo, hi := c.Off[a], c.Off[a+1]
-		// f(a): the whole first tie class (the rank-1 prefix of the row).
-		for i := lo; i < hi && c.Rank[i] == 1; i++ {
-			p := c.Post[i]
-			row[p] = tk.wTop + tk.sEdgeWeight(p)
-		}
-		// s(a): the most-preferred even posts (the last resort competes at
-		// rank worst+1).
-		lrRank := c.LastResortRank(a)
-		bestRank := lrRank
-		for i := lo; i < hi; i++ {
-			if tk.evenPost[c.Post[i]] && c.Rank[i] < bestRank {
-				bestRank = c.Rank[i]
-			}
-		}
-		if bestRank == lrRank {
-			lr := ins.LastResort(a)
-			if row[lr] == forb {
-				row[lr] = tk.sEdgeWeight(lr)
-			}
-		} else {
-			for i := lo; i < hi; i++ {
-				if p := c.Post[i]; tk.evenPost[p] && c.Rank[i] == bestRank && row[p] == forb {
-					row[p] = tk.sEdgeWeight(p)
-				}
-			}
-		}
-	}
-}
-
-// sEdgeWeight is the cardinality bonus of an s-edge: rank-one edges weigh
-// W+bonus, other E′ edges weigh the bonus alone — 1 when the edge avoids a
-// last resort and maximizing cardinality was requested.
-func (tk *tiesKernel) sEdgeWeight(p int32) int64 {
-	if tk.maxCard && !tk.ins.IsLastResort(p) {
-		return 1
-	}
-	return 0
-}
-
-// solveTies finds a popular matching of an instance whose lists may contain
-// ties, per the AIKM characterization (see the comment in ties.go). into,
-// when non-nil, is Reset and reused as the result matching. Capacities on
-// ins are ignored (the capacitated route expands first); the engine's
-// dispatch handles that routing.
-func (e *engine) solveTies(cx *exec.Ctx, ins *onesided.Instance, maximizeCardinality bool, into *onesided.Matching) (Outcome, error) {
+// solveTies finds a maximum-cardinality popular matching of an instance
+// whose lists may contain ties, by AIKM's algorithm (see ties.go), or
+// reports that no popular matching exists. into, when non-nil, is Reset and
+// reused as the result matching. Capacities on ins are ignored (the
+// capacitated route expands first); the engine's dispatch handles that
+// routing.
+func (e *engine) solveTies(cx *exec.Ctx, ins *onesided.Instance, into *onesided.Matching) (Outcome, error) {
 	tk := &e.ties
 	c := ins.CSR()
-	n1 := ins.NumApplicants
-	total := ins.TotalPosts()
-	if n1 == 0 {
-		m := into
-		if m == nil {
-			m = onesided.NewMatching(ins)
-		} else {
-			m.Reset(ins)
-		}
-		return Outcome{Matching: m, Exists: true}, nil
-	}
+	n1, total := ins.NumApplicants, ins.TotalPosts()
 
 	// G1: rank-one edges over real posts, read off the flat CSR rows (the
-	// rank-1 prefix of each row, since ranks are nondecreasing), built into
-	// the kernel's pooled flat adjacency.
-	tk.gb.Reset(n1, ins.NumPosts)
+	// rank-1 prefix of each row, since ranks are nondecreasing).
+	tk.g1.Reset(n1, ins.NumPosts)
 	for a := 0; a < n1; a++ {
-		tk.gb.StartRow()
+		tk.g1.StartRow()
 		for i := c.Off[a]; i < c.Off[a+1] && c.Rank[i] == 1; i++ {
-			tk.gb.Add(c.Post[i])
+			tk.g1.Add(c.Post[i])
 		}
 	}
-	g1 := tk.gb.Graph()
-	matchL, matchR, m1 := tk.bs.HopcroftKarpScratch(cx, g1)
-	_, rightLabel := tk.bs.EOUScratch(g1, matchL, matchR)
+	g1 := tk.g1.Graph()
+	m1L, m1R, size := tk.bs.HopcroftKarpScratch(cx, g1)
+	left, right := tk.bs.EOUScratch(g1, m1L, m1R)
 
-	// Bind the per-solve state the prebound loop bodies read. Deferred
-	// clear so a cancellation panic out of the Hungarian sweep cannot leave
-	// the pooled engine pinning the dead request's context or data.
-	tk.cx, tk.total, tk.probes = cx, total, 0
-	tk.ins, tk.c, tk.nPosts = ins, c, ins.NumPosts
-	tk.maxCard, tk.wTop = maximizeCardinality, int64(n1)+1
-	tk.rightLabel = rightLabel
-	defer func() {
-		tk.cx, tk.ins, tk.c, tk.rightLabel = nil, nil, nil, nil
-	}()
-
-	// Even posts over all ids, one parallel round.
-	exec.Grow(&tk.evenPost, total)
-	cx.ForGrain(total, par.Grain(total, cx.Workers()), tk.fnEvenPost)
-	cx.Round(total)
-
-	// E′ = f-edges ∪ s-edges, as a flat weight table for the lexicographic
-	// assignment: rank-one edges weigh W+1 (they advance |M ∩ E1|), other
-	// E′ edges weigh 1 when they avoid a last resort and maximizing
-	// cardinality is requested. Rows are independent; fill them with the
-	// rows of par.Grain's chunk of the n1·total cells: one chunk (on the
-	// caller) below its break-even, else at least ~MinGrain cells each.
-	tk.w = exec.Grow(&tk.w, n1*total)
-	rowGrain := par.Grain(n1*total, cx.Workers()) / total
-	if rowGrain < 1 {
-		rowGrain = 1
+	// Augment M1 within G′, first without last-resort edges and then with
+	// them. Augmenting never unmatches a vertex, so M ∩ E1 stays a maximum
+	// matching of G1; the first pass maximizes the applicants on real posts,
+	// and the second can only end its paths at last resorts.
+	matchL := exec.Grow(&tk.matchL, n1)
+	matchR := exec.Grow(&tk.matchR, total)
+	copy(matchL, m1L)
+	copy(matchR, m1R)
+	for p := ins.NumPosts; p < total; p++ {
+		matchR[p] = -1
 	}
-	cx.ForGrain(n1, rowGrain, tk.fnFillRow)
-	cx.Round(n1 * total)
-	rowTo, _, ok := tk.hung.MaxAssign(n1, total, tk.fnWeight)
-	if !ok {
-		// No applicant-complete matching within E′.
-		return Outcome{Exists: false, MaxRank1: m1}, nil
+	for _, lastResorts := range [2]bool{false, true} {
+		size = tk.bs.Augment(cx, tk.reduced(ins, c, left, right, lastResorts), matchL, matchR, size)
+	}
+	if size < n1 {
+		// No applicant-complete matching within G′.
+		return Outcome{Exists: false}, nil
 	}
 	m := into
 	if m == nil {
@@ -188,18 +66,49 @@ func (e *engine) solveTies(cx *exec.Ctx, ins *onesided.Instance, maximizeCardina
 	} else {
 		m.Reset(ins)
 	}
-	got1 := 0
-	for a := 0; a < n1; a++ {
-		p := int32(rowTo[a])
+	for a, p := range matchL {
 		m.Match(int32(a), p)
-		if !ins.IsLastResort(p) {
-			if r, onList := ins.RankOf(a, p); onList && r == 1 {
-				got1++
+	}
+	return Outcome{Matching: m, Exists: true}, nil
+}
+
+// reduced builds G′ into the kernel's second builder, from the EOU labels
+// of G1 relative to M1:
+//   - every rank-one edge but the odd–odd, odd–unreachable and
+//     unreachable–odd ones, which no maximum matching of G1 uses;
+//   - for even applicants only, the s-edges: the most-preferred even posts,
+//     else the last resort (only when lastResorts is set). Every maximum
+//     matching of G1 matches the odd and unreachable applicants along E1.
+//
+// An even applicant's rank-one posts are all odd (an even–even edge of G1
+// would close an augmenting path), so its s-posts lie past the rank-1
+// prefix.
+func (tk *tiesKernel) reduced(ins *onesided.Instance, c *onesided.CSR, left, right []bipartite.Label, lastResorts bool) *bipartite.Graph {
+	const even, odd = bipartite.Even, bipartite.Odd
+	tk.gp.Reset(ins.NumApplicants, ins.TotalPosts())
+	for a := 0; a < ins.NumApplicants; a++ {
+		tk.gp.StartRow()
+		i, hi := c.Off[a], c.Off[a+1]
+		for ; i < hi && c.Rank[i] == 1; i++ {
+			p := c.Post[i]
+			if left[a] != even && right[p] != even && (left[a] == odd || right[p] == odd) {
+				continue
+			}
+			tk.gp.Add(p)
+		}
+		if left[a] != even {
+			continue
+		}
+		best := int32(0)
+		for ; i < hi && (best == 0 || c.Rank[i] == best); i++ {
+			if p := c.Post[i]; right[p] == even {
+				best = c.Rank[i]
+				tk.gp.Add(p)
 			}
 		}
+		if best == 0 && lastResorts {
+			tk.gp.Add(ins.LastResort(a))
+		}
 	}
-	if got1 != m1 {
-		return Outcome{Exists: false, Rank1Size: got1, MaxRank1: m1}, nil
-	}
-	return Outcome{Matching: m, Exists: true, Rank1Size: got1, MaxRank1: m1}, nil
+	return tk.gp.Graph()
 }

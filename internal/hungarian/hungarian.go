@@ -2,49 +2,24 @@
 // perfect-on-rows bipartite matching) with the O(n²m) potential-based
 // Hungarian algorithm.
 //
-// In this repository it serves two roles:
-//
-//   - the unpopularity-margin oracle: for a matching M, the maximum of
-//     votes(M', M) − votes(M, M') over all matchings M' is an assignment
-//     problem with per-edge vote weights in {−1, 0, +1}, and M is popular iff
-//     the optimum is ≤ 0 — an independent check of every popularity result;
-//   - the lexicographic matching engine of the §V ties solver, which encodes
-//     (|M ∩ E1|, |M|, size) priorities as positional weights.
+// In this repository it serves the unpopularity-margin oracle: for a
+// matching M, the maximum of votes(M', M) − votes(M, M') over all matchings
+// M' is an assignment problem with per-edge vote weights in {−1, 0, +1}, and
+// M is popular iff the optimum is ≤ 0 — an independent check of every
+// popularity result.
 package hungarian
 
-import (
-	"math"
-
-	"repro/internal/exec"
-)
+import "math"
 
 // Forbidden marks a non-edge. MaxAssign never selects a forbidden pair
 // unless no feasible assignment exists, in which case ok is false.
 const Forbidden = math.MinInt64
-
-// Scratch recycles the working arrays of MaxAssign across calls: a caller
-// looping over same-shaped assignment problems (the ties solver does one per
-// solve) reaches a zero-allocation steady state. The zero value is ready to
-// use. A Scratch must not be shared by concurrent calls.
-type Scratch struct {
-	u, v, minv []int64
-	p, way     []int
-	used       []bool
-	rowTo      []int
-}
 
 // MaxAssign finds an assignment of each of the n rows to a distinct column
 // (n <= m) maximizing the total weight w(row, col). It returns the
 // assignment, its total weight, and whether a feasible (no forbidden edges)
 // assignment exists.
 func MaxAssign(n, m int, w func(row, col int) int64) (rowTo []int, total int64, ok bool) {
-	return new(Scratch).MaxAssign(n, m, w)
-}
-
-// MaxAssign is the package-level MaxAssign drawing every working array from
-// the Scratch. The returned rowTo slice is owned by the Scratch and valid
-// only until its next call; callers that retain it must copy.
-func (s *Scratch) MaxAssign(n, m int, w func(row, col int) int64) (rowTo []int, total int64, ok bool) {
 	if n > m {
 		panic("hungarian: more rows than columns")
 	}
@@ -62,19 +37,12 @@ func (s *Scratch) MaxAssign(n, m int, w func(row, col int) int64) (rowTo []int, 
 		}
 		return -x
 	}
-	u := exec.Grow(&s.u, n+1)
-	v := exec.Grow(&s.v, m+1)
-	p := exec.Grow(&s.p, m+1)     // p[j]: row assigned to column j (0 = none)
-	way := exec.Grow(&s.way, m+1) // way[j]: previous column on the alternating path
-	minv := exec.Grow(&s.minv, m+1)
-	if cap(s.used) < m+1 {
-		s.used = make([]bool, m+1)
-	}
-	used := s.used[:m+1]
-	clear(u)
-	clear(v)
-	clear(p)
-	clear(way)
+	u := make([]int64, n+1)
+	v := make([]int64, m+1)
+	p := make([]int, m+1)   // p[j]: row assigned to column j (0 = none)
+	way := make([]int, m+1) // way[j]: previous column on the alternating path
+	minv := make([]int64, m+1)
+	used := make([]bool, m+1)
 
 	for i := 1; i <= n; i++ {
 		p[0] = i
@@ -122,8 +90,7 @@ func (s *Scratch) MaxAssign(n, m int, w func(row, col int) int64) (rowTo []int, 
 		}
 	}
 
-	rowTo = exec.Grow(&s.rowTo, n)
-	clear(rowTo)
+	rowTo = make([]int, n)
 	for j := 1; j <= m; j++ {
 		if p[j] != 0 {
 			rowTo[p[j]-1] = j - 1

@@ -6,12 +6,11 @@ import "sync"
 
 // Debug builds (`go build -tags debug`, `go test -tags debug ./...`) enforce
 // the Instance immutability contract dynamically: when the derived caches
-// (rank maps, CSR) are first built, per-row fingerprints of
+// (CSR, clone expansion) are first built, per-row fingerprints of
 // Lists/Ranks/Capacities are recorded in a side table, and every later cache
-// hit re-hashes the touched row (RankOf) or the whole instance (CSR) and
-// panics on a mismatch — catching in-place mutations that would otherwise
-// silently serve stale derived data. Release builds compile the hooks to
-// no-ops.
+// hit re-hashes the whole instance and panics on a mismatch — catching
+// in-place mutations that would otherwise silently serve stale derived
+// data. Release builds compile the hooks to no-ops.
 //
 // The side table holds one entry per fingerprinted Instance until
 // Invalidate; debug builds therefore keep checked instances reachable. That
@@ -51,20 +50,6 @@ func (ins *Instance) checkFingerprint() {
 		if info.rows[a] != ins.rowFingerprint(a) {
 			ins.stalePanic()
 		}
-	}
-}
-
-// checkFingerprintRow verifies a single applicant's row; used on RankOf
-// cache hits (O(list length), so per-applicant hot loops stay linear even
-// under the debug tag).
-func (ins *Instance) checkFingerprintRow(a int) {
-	v, ok := debugTable.Load(ins)
-	if !ok {
-		return
-	}
-	info := v.(*debugInfo)
-	if a >= len(info.rows) || info.rows[a] != ins.rowFingerprint(a) {
-		ins.stalePanic()
 	}
 }
 

@@ -12,16 +12,14 @@ func TestDebugMutationPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := ins.RankOf(0, 1); !ok {
-		t.Fatal("post 1 should be on the list")
-	}
+	ins.CSR()
 	ins.Lists[0][1] = 2 // stale mutation, no Invalidate
 	defer func() {
 		if recover() == nil {
-			t.Fatal("stale RankOf did not panic under -tags debug")
+			t.Fatal("stale CSR did not panic under -tags debug")
 		}
 	}()
-	ins.RankOf(0, 2)
+	ins.CSR()
 }
 
 // TestDebugInvalidateClears verifies the escape hatch under the debug tag:
@@ -31,10 +29,10 @@ func TestDebugInvalidateClears(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ins.RankOf(0, 1)
+	ins.CSR()
 	ins.Lists[0][1] = 2
 	ins.Invalidate()
-	if r, ok := ins.RankOf(0, 2); !ok || r != 2 {
-		t.Fatalf("RankOf after Invalidate = %d,%v", r, ok)
+	if c := ins.CSR(); c.Post[c.Off[0]+1] != 2 {
+		t.Fatalf("CSR after Invalidate lists %v for applicant 0", c.Post[c.Off[0]:c.Off[1]])
 	}
 }

@@ -9,6 +9,4 @@ func (ins *Instance) recordFingerprint() {}
 
 func (ins *Instance) checkFingerprint() {}
 
-func (ins *Instance) checkFingerprintRow(a int) {}
-
 func (ins *Instance) clearFingerprint() {}

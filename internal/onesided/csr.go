@@ -100,6 +100,3 @@ func (c *CSR) Strict() bool { return c.strict }
 
 // TotalPosts is the number of post ids including last resorts.
 func (c *CSR) TotalPosts() int { return c.NumPosts + c.NumApplicants }
-
-// LastResortRank is the rank of l(a): one worse than a's worst listed rank.
-func (c *CSR) LastResortRank(a int) int32 { return c.Rank[c.Off[a+1]-1] + 1 }

@@ -6,9 +6,9 @@ import "fmt"
 // RemoveApplicant, SetCapacity — are the sanctioned way to change an
 // Instance that has already been solved or queried: instead of mutating
 // Lists/Ranks by hand and calling Invalidate (which drops every derived
-// cache wholesale), they patch the cached CSR form, rank maps and row
-// digests in place, keep CSR.Strict() exact via a tied-row counter, bump a
-// monotonic mutation epoch, and journal the edit so a warm-started solver
+// cache wholesale), they patch the cached CSR form and row digests in
+// place, keep CSR.Strict() exact via a tied-row counter, bump a monotonic
+// mutation epoch, and journal the edit so a warm-started solver
 // (core.SolveDeltaRequest) can ask which rows changed since the matching it
 // holds was computed (DirtySince).
 //
@@ -140,14 +140,6 @@ func (ins *Instance) AddApplicant(posts, ranks []int32) (int, error) {
 		}
 		c.strict = ins.tiedCount() == 0
 	}
-	if maps := ins.rankCache.Load(); maps != nil {
-		m := make(map[int32]int32, len(p))
-		for i, q := range p {
-			m[q] = r[i]
-		}
-		next := append(*maps, m)
-		ins.rankCache.Store(&next)
-	}
 	if d := ins.digests.Load(); d != nil {
 		next := append(*d, newRowHasher().digest(p, r))
 		ins.digests.Store(&next)
@@ -177,11 +169,6 @@ func (ins *Instance) RemoveApplicant(a int) (moved int, err error) {
 	if c := ins.csrCache.Load(); c != nil {
 		ins.rebuildCSR(c)
 		c.strict = ins.tiedCount() == 0
-	}
-	if maps := ins.rankCache.Load(); maps != nil {
-		(*maps)[a] = (*maps)[last]
-		next := (*maps)[:last]
-		ins.rankCache.Store(&next)
 	}
 	if d := ins.digests.Load(); d != nil {
 		(*d)[a] = (*d)[last]
@@ -243,8 +230,8 @@ func (ins *Instance) validateRow(a int, posts, ranks []int32) (p, r []int32, err
 }
 
 // patchRow refreshes every derived cache touched by replacing row a:
-// CSR (in place when the length matches, resplice otherwise), rank map,
-// row digest, and the strictness flag via the tied-row counter.
+// CSR (in place when the length matches, resplice otherwise), row digest,
+// and the strictness flag via the tied-row counter.
 func (ins *Instance) patchRow(a int, wasTied, isTied bool) {
 	if c := ins.csrCache.Load(); c != nil {
 		lo, hi := c.Off[a], c.Off[a+1]
@@ -262,13 +249,6 @@ func (ins *Instance) patchRow(a int, wasTied, isTied bool) {
 			}
 		}
 		c.strict = ins.tiedCount() == 0
-	}
-	if maps := ins.rankCache.Load(); maps != nil {
-		m := make(map[int32]int32, len(ins.Lists[a]))
-		for i, q := range ins.Lists[a] {
-			m[q] = ins.Ranks[a][i]
-		}
-		(*maps)[a] = m
 	}
 	if d := ins.digests.Load(); d != nil {
 		(*d)[a] = newRowHasher().digest(ins.Lists[a], ins.Ranks[a])

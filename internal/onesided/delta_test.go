@@ -7,7 +7,7 @@ import (
 
 // requireSame asserts that a mutated instance is indistinguishable from one
 // freshly built with the same content: structural validity, CSR content and
-// strictness, rank maps, and fingerprint.
+// strictness, RankOf, and fingerprint.
 func requireSame(t *testing.T, got, want *Instance) {
 	t.Helper()
 	if err := got.Validate(); err != nil {

@@ -27,7 +27,7 @@ type rowDigests [][16]byte
 // (delta.go): editing one preference row re-hashes that row only, and the
 // next Fingerprint call recombines the cached digests. Both levels are
 // cached alongside the other derived structures and subject to the Instance
-// immutability contract (Invalidate drops them with the rank maps and CSR).
+// immutability contract (Invalidate drops them with the CSR).
 func (ins *Instance) Fingerprint() string {
 	if fp := ins.fpCache.Load(); fp != nil {
 		return *fp

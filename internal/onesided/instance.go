@@ -31,15 +31,14 @@ import (
 //
 // # Immutability contract
 //
-// An Instance lazily derives and caches two structures the solvers share:
-// per-applicant rank maps (RankOf) and the flat CSR form (CSR). Once either
-// accessor — or any solver, which uses them internally — has run, the
-// instance must be treated as immutable: mutating Lists, Ranks or Capacities
-// in place would silently serve stale derived data to later calls. Callers
-// that must mutate an already-used instance call Invalidate afterwards to
-// drop the caches (SetCapacities does so automatically); builds with the
-// `debug` tag verify the caches against a fingerprint of the lists on every
-// RankOf and CSR call and panic on staleness.
+// An Instance lazily derives and caches the flat CSR form the solvers share
+// (CSR). Once that accessor — or any solver, which uses it internally — has
+// run, the instance must be treated as immutable: mutating Lists, Ranks or
+// Capacities in place would silently serve stale derived data to later
+// calls. Callers that must mutate an already-used instance call Invalidate
+// afterwards to drop the caches (SetCapacities does so automatically);
+// builds with the `debug` tag verify the CSR against a fingerprint of the
+// lists on every CSR call and panic on staleness.
 type Instance struct {
 	NumApplicants int
 	NumPosts      int
@@ -47,11 +46,10 @@ type Instance struct {
 	Ranks         [][]int32
 	Capacities    []int32
 
-	rankCache atomic.Pointer[[]map[int32]int32]
-	csrCache  atomic.Pointer[CSR]
-	fpCache   atomic.Pointer[string]
-	expCache  atomic.Pointer[Expansion]
-	digests   atomic.Pointer[rowDigests]
+	csrCache atomic.Pointer[CSR]
+	fpCache  atomic.Pointer[string]
+	expCache atomic.Pointer[Expansion]
+	digests  atomic.Pointer[rowDigests]
 
 	// Delta-solve state, owned by the mutation API (delta.go). epoch counts
 	// mutations, log journals the recent ones for DirtySince, and tied
@@ -265,16 +263,15 @@ func (ins *Instance) SetCapacities(caps []int32) error {
 	return nil
 }
 
-// Invalidate drops the lazily derived caches (rank maps, the CSR form, the
-// content fingerprint and its row digests). Call it after mutating Lists,
-// Ranks or Capacities of an instance that has already been solved or
-// queried; see the immutability contract on Instance. Prefer the mutation
-// API (SetPreferences and friends, delta.go), which patches the caches in
-// place instead of dropping them and keeps the mutation journal replayable;
+// Invalidate drops the lazily derived caches (the CSR form, the content
+// fingerprint and its row digests). Call it after mutating Lists, Ranks or
+// Capacities of an instance that has already been solved or queried; see
+// the immutability contract on Instance. Prefer the mutation API
+// (SetPreferences and friends, delta.go), which patches the caches in place
+// instead of dropping them and keeps the mutation journal replayable;
 // Invalidate advances the epoch wholesale, so delta solvers holding an older
 // epoch fall back to a full solve.
 func (ins *Instance) Invalidate() {
-	ins.rankCache.Store(nil)
 	ins.csrCache.Store(nil)
 	ins.fpCache.Store(nil)
 	ins.expCache.Store(nil)
@@ -332,33 +329,18 @@ func (ins *Instance) LastResortRank(a int) int32 {
 }
 
 // RankOf returns the rank of post p on applicant a's augmented list. Posts
-// not on the list (other than l(a)) report ok = false. The rank maps are
-// built once and cached; see the immutability contract on Instance.
+// not on the list (other than l(a)) report ok = false. It scans a's row, so
+// a call costs the list's length.
 func (ins *Instance) RankOf(a int, p int32) (rank int32, ok bool) {
 	if p == ins.LastResort(a) {
 		return ins.LastResortRank(a), true
 	}
-	maps := ins.rankCache.Load()
-	if maps == nil {
-		built := make([]map[int32]int32, ins.NumApplicants)
-		for i := range ins.Lists {
-			m := make(map[int32]int32, len(ins.Lists[i]))
-			for j, q := range ins.Lists[i] {
-				m[q] = ins.Ranks[i][j]
-			}
-			built[i] = m
+	for i, q := range ins.Lists[a] {
+		if q == p {
+			return ins.Ranks[a][i], true
 		}
-		// Concurrent builders race benignly: both compute identical maps
-		// from the (immutable-by-contract) lists and either may win. Store
-		// before recording so an interleaved Invalidate clears the entry.
-		ins.rankCache.Store(&built)
-		ins.recordFingerprint()
-		maps = &built
-	} else {
-		ins.checkFingerprintRow(a)
 	}
-	rank, ok = (*maps)[a][p]
-	return rank, ok
+	return 0, false
 }
 
 // Clone returns a deep copy (without the lazily derived caches).

@@ -127,7 +127,7 @@ func (m *Matching) Size(ins *Instance) int {
 // instance (a post on a's list, or a's own last resort).
 func (m *Matching) Validate(ins *Instance) error {
 	if len(m.PostOf) != ins.NumApplicants || len(m.ApplicantOf) != ins.TotalPosts() {
-		return fmt.Errorf("onesided: matching sized %d/%d for instance %d/%d",
+		return fmt.Errorf("matching sized %d/%d for instance %d/%d",
 			len(m.PostOf), len(m.ApplicantOf), ins.NumApplicants, ins.TotalPosts())
 	}
 	for a, p := range m.PostOf {
@@ -135,15 +135,15 @@ func (m *Matching) Validate(ins *Instance) error {
 			continue
 		}
 		if m.ApplicantOf[p] != int32(a) {
-			return fmt.Errorf("onesided: PostOf[%d]=%d but ApplicantOf[%d]=%d", a, p, p, m.ApplicantOf[p])
+			return fmt.Errorf("PostOf[%d]=%d but ApplicantOf[%d]=%d", a, p, p, m.ApplicantOf[p])
 		}
 		if _, ok := ins.RankOf(a, p); !ok {
-			return fmt.Errorf("onesided: applicant %d matched to post %d not on their list", a, p)
+			return fmt.Errorf("applicant %d matched to post %d not on their list", a, p)
 		}
 	}
 	for p, a := range m.ApplicantOf {
 		if a >= 0 && m.PostOf[a] != int32(p) {
-			return fmt.Errorf("onesided: ApplicantOf[%d]=%d but PostOf[%d]=%d", p, a, a, m.PostOf[a])
+			return fmt.Errorf("ApplicantOf[%d]=%d but PostOf[%d]=%d", p, a, a, m.PostOf[a])
 		}
 	}
 	return nil

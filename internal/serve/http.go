@@ -71,8 +71,9 @@ import (
 //	popular      any popular matching (strict lists; capacitated instances
 //	             route through the clone reduction)
 //	maxcard      maximum-cardinality popular matching
-//	ties         §V ties solver (valid for strict instances too)
-//	tiesmax      ties solver maximizing cardinality
+//	ties         §V ties solver (valid for strict instances too); its
+//	             popular matching has maximum cardinality
+//	tiesmax      the same solver as ties
 //	maxweight    maximum-weight popular matching under the built-in
 //	             cardinality weights (strict unit instances only)
 //	minweight    minimizing twin of maxweight

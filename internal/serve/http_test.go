@@ -192,11 +192,24 @@ func TestHTTPErrorMapping(t *testing.T) {
 	if want := "unknown instance"; e.Error != want {
 		t.Fatalf("unknown instance error = %q, want %q", e.Error, want)
 	}
-	// Unsupported mode for the instance shape → 422.
+	// Unsupported mode for the instance shape → 422, in the caller's terms
+	// (no internal package name).
 	rng := rand.New(rand.NewSource(5))
 	ties := h.upload(onesided.RandomTies(rng, 10, 8, 1, 3, 0.6))
-	if _, st := h.solve(ties.ID, popmatch.ModePopular); st != http.StatusUnprocessableEntity {
+	body, _ = json.Marshal(solveRequest{Instance: ties.ID, Mode: "popular"})
+	if st := h.do("POST", "/v1/solve", "application/json", body, &e); st != http.StatusUnprocessableEntity {
 		t.Fatalf("strict solve of tied instance: %d, want 422", st)
+	}
+	if want := "Algorithm 1 requires strictly-ordered preference lists"; e.Error != want {
+		t.Fatalf("strict solve of tied instance error = %q, want %q", e.Error, want)
+	}
+	capID := h.upload(onesided.RandomCapacitated(rng, 10, 5, 1, 3, 3)).ID
+	body, _ = json.Marshal(solveRequest{Instance: capID, Mode: "maxweight"})
+	if st := h.do("POST", "/v1/solve", "application/json", body, &e); st != http.StatusUnprocessableEntity {
+		t.Fatalf("maxweight solve of capacitated instance: %d, want 422", st)
+	}
+	if want := "mode maxweight does not support capacitated instances"; e.Error != want {
+		t.Fatalf("maxweight solve of capacitated instance error = %q, want %q", e.Error, want)
 	}
 	// Structurally invalid verify → 422.
 	vbody, _ := json.Marshal(verifyRequest{Instance: ties.ID, PostOf: []int32{0}})

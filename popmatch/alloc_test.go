@@ -66,11 +66,9 @@ func tiedAllocInstance(t testing.TB, n int) *Instance {
 
 // TestSolveTiesIntoSteadyStateAllocs pins the unified-engine contract for
 // the ties path: after the first solve has installed the engine (with its
-// pooled rank-one graph, Hopcroft–Karp/EOU scratch, flat weight table and
-// Hungarian working arrays) and warmed the session arena, repeated tiesmax
-// SolveRequestInto calls on the same instance perform zero heap allocations
-// — where the pre-engine path rebuilt a bipartite graph and re-made the
-// O(n·total) weight rows on every call.
+// pooled graphs G1 and G′, Hopcroft–Karp/EOU scratch and augmenting
+// matching) and warmed the session arena, repeated tiesmax SolveRequestInto
+// calls on the same instance perform zero heap allocations.
 func TestSolveTiesIntoSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime allocates during solves; allocation exactness is meaningless here")

@@ -96,11 +96,13 @@ func TestPublicVerifyRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := res.Matching.Clone()
-	// Move a1 to its 4th choice: breaks Theorem 1(ii).
+	// Move a1 to p2 and a2 to p1, which a2 does not list: the structural
+	// check rejects it, in the caller's terms (no internal package name).
 	bad.Match(0, 1)
 	bad.Match(1, 0)
-	if err := newTestSolver(t, Options{}).Verify(context.Background(), ins, bad); err == nil {
-		t.Fatal("Verify accepted a corrupted matching")
+	err = newTestSolver(t, Options{}).Verify(context.Background(), ins, bad)
+	if want := "applicant 1 matched to post 0 not on their list"; err == nil || err.Error() != want {
+		t.Fatalf("Verify of a corrupted matching: %v, want %q", err, want)
 	}
 }
 
